@@ -6,7 +6,7 @@ Subpackages by theme:
   orbits    pruned enumeration, multiplicities, exceptions, sum-set checks
   dimension transfer-operator Hausdorff dimensions, sector counts
   products  near-multiplicativity estimates and product ensembles
-  modular   mod-q closures, admissibility, nu_q, singular series
+  modular   continuants mod q, admissibility, nu_q, singular series
   qmc       lattice point sets and exact star discrepancy
   expsum    exponential sums, representation numbers, arc profiles
   cli       command-line interface over all of the above

@@ -28,12 +28,14 @@ from .products import build_omega, check_products, omega_cardinality_report
 from .qmc import read_points_csv, star_discrepancy, write_points_csv, zn_points
 
 
-_PATH_ARGS = {"func", "out", "mult_out", "out_dir", "infile"}
+# Paths, and knobs that change how a result is computed but not the result,
+# stay out of the header so that files match across machines.
+_UNRECORDED_ARGS = {"func", "out", "mult_out", "out_dir", "infile", "threads"}
 
 
 def _header(args: argparse.Namespace, extra: dict | None = None) -> list[str]:
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in _PATH_ARGS and v is not None}
+           if k not in _UNRECORDED_ARGS and v is not None}
     if extra:
         cfg.update(extra)
     blob = json.dumps(cfg, sort_keys=True, default=str)
@@ -139,8 +141,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_modular(args) -> int:
     if args.modular_cmd == "closure":
         clo = closure_mod_q(Alphabet.parse(args.alphabet), args.q)
-        payload = {"q": clo.q, "n_elements": len(clo.elements),
-                   "attainable_d": sorted(clo.attainable_d),
+        payload = {"q": clo.q, "attainable_d": sorted(clo.attainable_d),
                    "attainable_is_full": clo.attainable_is_full}
     elif args.modular_cmd == "sseries":
         payload = {"n": args.n, "P": args.P,
@@ -262,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=True):
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import cached_json
 from .cfcore import Alphabet, iter_gamma, spectral, norm_frobenius
 from .errors import ConstructionError, InputError, NumericalError
 
@@ -160,13 +159,6 @@ def dimension(alphabet, tol: float = 1e-12, nodes: int = 64) -> DimensionResult:
     if len(alphabet) == 1:
         return DimensionResult(0.0, float(len(alphabet)), 0, 0.0, ())
 
-    cache_key = {"alphabet": str(alphabet), "tol": tol, "nodes": nodes}
-    cached = cached_json("dimension", cache_key)
-    if cached is not None:
-        return DimensionResult(cached["delta"], cached["eigenvalue_at_delta"],
-                               cached["nodes"], cached["residual"],
-                               tuple(map(tuple, cached["history"])))
-
     history: list[tuple[float, float]] = []
 
     def g(s: float) -> float:
@@ -195,13 +187,8 @@ def dimension(alphabet, tol: float = 1e-12, nodes: int = 64) -> DimensionResult:
             break
     else:
         raise NumericalError(f"secant refinement stalled near s={s1}")
-    result = DimensionResult(float(s1), float(f1 + 1.0), nodes, abs(float(f1)),
-                             tuple(history))
-    cached_json("dimension", cache_key, store={
-        "delta": result.delta, "eigenvalue_at_delta": result.eigenvalue_at_delta,
-        "nodes": nodes, "residual": result.residual,
-        "history": [list(h) for h in result.history]})
-    return result
+    return DimensionResult(float(s1), float(f1 + 1.0), nodes, abs(float(f1)),
+                           tuple(history))
 
 
 def hensley_asymptotic(A: int) -> float:

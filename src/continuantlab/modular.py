@@ -1,12 +1,16 @@
-"""Reductions mod q: semigroup closures, admissibility, and the singular series.
+"""Reductions mod q: continuant residues, admissibility, and the singular series.
 
-The generators (0 1; 1 a) reduce mod q to elements of GL2(Z/q); the
-multiplicative closure of their reductions is a finite computation, and
-the set of attainable lower-right entries is exactly the set of
-continuants mod q.  An integer d passes the local obstruction at q when
-d mod q is attainable; alphabets containing {1, 2} attain every residue
-for every q (verified here finitely), while e.g. {2,4,6,8,10} only
-attains {0,1,2} mod 4.
+The bottom row (c, d) of a word matrix evolves by itself under right
+multiplication by a generator:
+
+    (c, d) * (0 1; 1 a) = (d, c + a*d).
+
+So the continuants mod q (the attainable lower-right entries d) are the
+projection of an orbit on at most q^2 states (c, d) mod q, started from
+the one-letter rows (1, a mod q).  An integer d passes the local
+obstruction at q when d mod q is attainable; alphabets containing {1, 2}
+attain every residue for every q (verified here finitely), while e.g.
+{2,4,6,8,10} only attains {0,1,2} mod 4.
 
 The mod-q distribution of lower-right entries over all of SL2(Z/q)
 enters the circle method through
@@ -28,20 +32,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cache import cached_json
 from .cfcore import Alphabet
 from .errors import InputError, ResourceError
 from .orbits import enumerate_orbit
 
-CLOSURE_Q_CAP = 10_000
+CLOSURE_Q_CAP = 1000  # q^2 = 10^6 bottom-row states, under a second
 NU_Q_CAP = 50
 
 
 @dataclass(frozen=True)
 class ResidueClosure:
     q: int
-    elements: frozenset  # 4-tuples (a, b, c, d) mod q
-    attainable_d: frozenset
+    attainable_d: frozenset  # continuants mod q
 
     @property
     def attainable_is_full(self) -> bool:
@@ -49,38 +51,30 @@ class ResidueClosure:
 
 
 def closure_mod_q(alphabet, q: int, q_cap: int = CLOSURE_Q_CAP) -> ResidueClosure:
-    """Closure of the generator reductions under right multiplication.
+    """Residues mod q of the continuants of every nonempty word.
 
-    Worklist fixed point starting from the generators; the state space
-    is at most q^4 tuples.  Includes every nonempty word, so the
-    attainable set is the full set of continuants mod q.
+    Worklist fixed point of (c, d) -> (d, c + a*d) mod q from the
+    one-letter bottom rows (1, a); state c*q + d indexes a q^2 bytearray.
+    The attainable residues are the d with some reached state (c, d).
     """
     alphabet = Alphabet.of(alphabet)
     if q < 2:
         raise InputError(f"need q >= 2, got {q}")
     if q > q_cap:
         raise ResourceError(f"q={q} above the closure cap {q_cap}")
-
-    cached = cached_json("closure", {"alphabet": str(alphabet), "q": q})
-    if cached is not None:
-        return ResidueClosure(q, frozenset(map(tuple, cached["elements"])),
-                              frozenset(cached["attainable"]))
-
-    gens = [(0, 1, 1, a % q) for a in alphabet]
-    seen = set(gens)
-    work = list(gens)
+    steps = sorted({a % q for a in alphabet})
+    seen = bytearray(q * q)
+    work = [q + a for a in steps]  # the rows (1, a)
+    for s in work:
+        seen[s] = 1
     while work:
-        a, b, c, d = work.pop()
-        for e, f, g, h in gens:
-            m = ((a * e + b * g) % q, (a * f + b * h) % q,
-                 (c * e + d * g) % q, (c * f + d * h) % q)
-            if m not in seen:
-                seen.add(m)
-                work.append(m)
-    attainable = frozenset(m[3] for m in seen)
-    cached_json("closure", {"alphabet": str(alphabet), "q": q},
-                store={"elements": sorted(seen), "attainable": sorted(attainable)})
-    return ResidueClosure(q, frozenset(seen), attainable)
+        c, d = divmod(work.pop(), q)
+        for a in steps:
+            nxt = d * q + (c + a * d) % q
+            if not seen[nxt]:
+                seen[nxt] = 1
+                work.append(nxt)
+    return ResidueClosure(q, frozenset(d for d in range(q) if any(seen[d::q])))
 
 
 class Admissibility(NamedTuple):
@@ -93,11 +87,14 @@ def is_admissible(alphabet, d: int, q_max: int = 30) -> Admissibility:
 
     A finite proxy for "all q": obstructions come from a fixed bad
     modulus, so small q suffice in practice; raise q_max to taste.
+    Each q costs one bottom-row orbit of at most q^2 states.
     """
     if d < 1:
         raise InputError(f"need d >= 1, got {d}")
     if q_max < 2:
         raise InputError(f"need q_max >= 2, got {q_max}")
+    if q_max > CLOSURE_Q_CAP:
+        raise ResourceError(f"q_max={q_max} above the closure cap {CLOSURE_Q_CAP}")
     alphabet = Alphabet.of(alphabet)
     for q in range(2, q_max + 1):
         if (d % q) not in closure_mod_q(alphabet, q).attainable_d:

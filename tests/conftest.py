@@ -44,6 +44,27 @@ def brute_force_orbit(letters, N: int, spellings: str = "any"):
     return out
 
 
+def matrix_closure(letters, q: int) -> set:
+    """Every nonempty word matrix mod q, as 4-tuples (a, b, c, d).
+
+    Worklist fixed point of the generator reductions (0 1; 1 a) under
+    right multiplication, on up to q^4 states: the matrix-level oracle
+    for the bottom-row closure in modular.closure_mod_q.
+    """
+    gens = [(0, 1, 1, a % q) for a in letters]
+    seen = set(gens)
+    work = list(gens)
+    while work:
+        a, b, c, d = work.pop()
+        for e, f, g, h in gens:
+            m = ((a * e + b * g) % q, (a * f + b * h) % q,
+                 (c * e + d * g) % q, (c * f + d * h) % q)
+            if m not in seen:
+                seen.add(m)
+                work.append(m)
+    return seen
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240901)

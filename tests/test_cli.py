@@ -1,9 +1,9 @@
 import json
-import os
 
 import pytest
 
 from continuantlab.cli import run
+from continuantlab.modular import CLOSURE_Q_CAP
 from continuantlab.qmc import star_discrepancy, zn_points
 
 
@@ -119,6 +119,8 @@ def test_repro_fig2(tmp_path, capsys):
 def test_exit_codes(capsys):
     assert run(["exceptions", "--alphabet", "0,1", "--N", "100"]) == 2
     assert run(["modular", "closure", "--alphabet", "1,2", "--q", "99999"]) == 3
+    assert run(["modular", "closure", "--alphabet", "1,2",
+                "--q", str(CLOSURE_Q_CAP + 1)]) == 3
     assert run(["bogus"]) == 2          # argparse usage error
     assert run(["dimension", "--alphabet", "1,2", "--bogus-flag"]) == 2
     capsys.readouterr()
@@ -134,11 +136,15 @@ def test_dimension_out_file_has_no_timing(tmp_path, capsys):
     assert abs(stored["result"]["delta"] - 0.4544890776618) < 1e-9
 
 
-def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CONTINUANT_LAB_CACHE", str(tmp_path / "cache"))
-    code, doc1 = run_json(capsys, ["dimension", "--alphabet", "1,2,3"])
-    assert code == 0
-    files = os.listdir(tmp_path / "cache")
-    assert any(f.startswith("dimension-") for f in files)
-    code, doc2 = run_json(capsys, ["dimension", "--alphabet", "1,2,3"])
-    assert doc1["delta"] == doc2["delta"]
+def test_threads_do_not_enter_files(tmp_path, capsys):
+    outs = []
+    for threads in (1, 2):
+        orbit, mult = tmp_path / f"orbit{threads}.csv", tmp_path / f"mult{threads}.csv"
+        code = run(["enumerate", "--alphabet", "1,2", "--N", "300",
+                    "--out", str(orbit), "--mult-out", str(mult),
+                    "--threads", str(threads)])
+        capsys.readouterr()
+        assert code == 0
+        outs.append((orbit.read_bytes(), mult.read_bytes()))
+    assert outs[0] == outs[1]
+    assert b"threads" not in outs[0][1]

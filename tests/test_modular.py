@@ -1,23 +1,39 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import matrix_closure
 from continuantlab.errors import InputError, ResourceError
-from continuantlab.modular import (Admissibility, closure_mod_q, is_admissible,
-                                   is_prime, is_primitive_root, nu_q,
-                                   primitive_root_witness, singular_series,
-                                   sl2_dentry_counts, sl2_order)
+from continuantlab.modular import (CLOSURE_Q_CAP, Admissibility, closure_mod_q,
+                                   is_admissible, is_prime, is_primitive_root,
+                                   nu_q, primitive_root_witness,
+                                   singular_series, sl2_dentry_counts, sl2_order)
 from continuantlab.orbits import multiplicity_table
 
 
 def test_closure_12_q5_full_sl2():
-    clo = closure_mod_q((1, 2), 5)
-    det1 = {m for m in clo.elements if (m[0] * m[3] - m[1] * m[2]) % 5 == 1}
+    elements = matrix_closure((1, 2), 5)
+    det1 = {m for m in elements if (m[0] * m[3] - m[1] * m[2]) % 5 == 1}
     assert len(det1) == 120  # |SL2(F5)|
+    clo = closure_mod_q((1, 2), 5)
     assert clo.attainable_d == frozenset(range(5))
     assert clo.attainable_is_full
+
+
+@settings(max_examples=40, deadline=None)
+@given(letters=st.sets(st.integers(1, 12), min_size=1),
+       q=st.integers(2, 40))
+@example(letters={2, 4, 6, 8, 10}, q=4)
+@example(letters={1, 2}, q=40)
+def test_closure_matches_matrix_closure(letters, q):
+    letters = sorted(letters)
+    want = frozenset(m[3] for m in matrix_closure(letters, q))
+    assert closure_mod_q(letters, q).attainable_d == want
 
 
 def test_closure_even_alphabet_q4_deficient():
@@ -37,19 +53,19 @@ def test_closure_fibonacci_mod2():
 
 
 def test_closure_is_fixed_point():
-    clo = closure_mod_q((1, 2), 6)
+    elements = matrix_closure((1, 2), 6)
     gens = [(0, 1, 1, a % 6) for a in (1, 2)]
-    for a, b, c, d in clo.elements:
+    for a, b, c, d in elements:
         for e, f, g, h in gens:
             m = ((a * e + b * g) % 6, (a * f + b * h) % 6,
                  (c * e + d * g) % 6, (c * f + d * h) % 6)
-            assert m in clo.elements
+            assert m in elements
 
 
 def test_closure_determinants():
     q = 7
-    clo = closure_mod_q((1, 2, 3), q)
-    dets = {(m[0] * m[3] - m[1] * m[2]) % q for m in clo.elements}
+    elements = matrix_closure((1, 2, 3), q)
+    dets = {(m[0] * m[3] - m[1] * m[2]) % q for m in elements}
     assert dets <= {1, q - 1}
     # even-word subclosure keeps det = 1
     from continuantlab.cfcore import generator, mat_mul
@@ -75,6 +91,16 @@ def test_closure_q_cap():
         closure_mod_q((1, 2), 20000)
     with pytest.raises(InputError):
         closure_mod_q((1, 2), 1)
+
+
+def test_closure_cap_refuses_before_work():
+    closure_mod_q((1, 2), CLOSURE_Q_CAP)  # the cap itself is allowed
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError):
+        closure_mod_q((1, 2), CLOSURE_Q_CAP + 1)
+    with pytest.raises(ResourceError):
+        is_admissible((1, 2), 7, CLOSURE_Q_CAP + 1)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_strong_approximation_small_q():
