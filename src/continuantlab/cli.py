@@ -170,7 +170,7 @@ def _cmd_qmc(args) -> int:
     elif args.qmc_cmd == "disc":
         ps = read_points_csv(args.infile)
         t0 = time.time()
-        value = star_discrepancy(ps, method=args.method)
+        value = star_discrepancy(ps, method=args.method, seed=args.seed)
         print(json.dumps({"n_points": len(ps), "star_discrepancy": value,
                           "method": args.method,
                           "seconds": round(time.time() - t0, 3)},
@@ -261,14 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        p.add_argument("--out", help="output file path")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int,
-                       default=os.cpu_count() or 1,
-                       help="worker processes for partitionable walks "
-                            "(results are identical for any value)")
+    def common(p, out=True):
+        if out:
+            p.add_argument("--out", help="output file path")
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("cf", help="canonical continued-fraction expansion")
     p.add_argument("--b", type=int, required=True)
@@ -284,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representative", choices=("canonical", "orbit"),
                    default="canonical")
     p.add_argument("--mult-out", help="also write the multiplicity table CSV")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for the --mult-out walk (same result for any value)")
     common(p)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -344,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = qsub.add_parser("disc")
     pd.add_argument("--in", dest="infile", required=True)
     pd.add_argument("--method", choices=("exact", "sampled"), default="exact")
-    common(pd)
+    common(pd, out=False)
     pd.set_defaults(func=_cmd_qmc)
 
     p = sub.add_parser("expsum", help="exponential-sum arc profiles")
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("fig2", "fig3", "fig5", "fig6", "fig7", "fig8"))
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--out-dir", default=".")
-    common(p)
+    common(p, out=False)
     p.set_defaults(func=_cmd_repro)
 
     return top

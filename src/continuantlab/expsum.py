@@ -19,10 +19,10 @@ Arc profiles integrate |S|^2 over the dyadic regions
 
     W_{Q,K} = { a/q + beta : Q/2 <= q < Q, (a,q) = 1, K/2N <= |beta| < K/N }
 
-by adaptive Simpson quadrature (the integrand oscillates on the scale
-1/max(d), which fixes the initial grid), and report the mass relative
-to the flat benchmark |source|^2 / N.  A closed-form band integral via
-the autocorrelation of R is provided as an independent cross-check.
+in closed form from the autocorrelation of R, computed once per call,
+and report the mass relative to the flat benchmark |source|^2 / N.
+Adaptive Simpson quadrature (integrate_band) is kept as the independent
+reference the closed form is checked against.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .errors import InputError, NumericalError, ResourceError
 from .orbits import multiplicity_table
 
 SOURCE_CAP = 10_000_000
+QUAD_RTOL = 1e-3          # integrate_band: agreement of two refinements
+QUAD_MAX_POINTS = 65537   # integrate_band: largest grid before giving up
 
 
 @dataclass(frozen=True)
@@ -198,34 +200,47 @@ def _simpson(vals: np.ndarray, h: float) -> float:
                             + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum()))
 
 
-def integrate_band(source: ExpSumSource, lo: float, hi: float,
-                   rtol: float = 1e-3, max_points: int = 65537) -> tuple[float, int]:
-    """Adaptive Simpson integral of |S|^2 over [lo, hi].
+def integrate_band(source: ExpSumSource, lo: float, hi: float) -> tuple[float, int]:
+    """Adaptive Simpson integral of |S|^2 over [lo, hi]; the check on band_integral_exact.
 
     Initial resolution follows the integrand's oscillation scale
-    1/vmax; the grid doubles until two refinements agree to rtol, and a
-    band that still disagrees at max_points raises NumericalError.
-    Returns (integral, points used).
+    1/vmax; the grid doubles until two refinements agree to QUAD_RTOL,
+    and a band that still disagrees at QUAD_MAX_POINTS raises
+    NumericalError.  Returns (integral, points used).
     """
     if hi <= lo:
         raise InputError(f"empty band [{lo}, {hi}]")
     width = hi - lo
     n = 8
-    while n < width * source.vmax * 16 and n < max_points - 1:
+    while n < width * source.vmax * 16 and n < QUAD_MAX_POINTS - 1:
         n *= 2
     prev = None
     while True:
         pts = _sn_uniform_grid(source, lo, width / n, n + 1)
         val = _simpson(np.abs(pts) ** 2, width / n)
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-30):
+        if prev is not None and abs(val - prev) <= QUAD_RTOL * max(abs(val), 1e-30):
             return val, n + 1
-        if n >= max_points - 1:
-            if prev is not None and abs(val - prev) <= 10 * rtol * abs(val):
+        if n >= QUAD_MAX_POINTS - 1:
+            if prev is not None and abs(val - prev) <= 10 * QUAD_RTOL * abs(val):
                 return val, n + 1
             raise NumericalError(
                 f"band [{lo}, {hi}] quadrature not converged at {n + 1} points")
         prev = val
         n *= 2
+
+
+def _autocorrelation(source: ExpSumSource) -> np.ndarray:
+    """A(m) = sum_n R(n) R(n+m) for m = 0..vmax, by zero-padded FFT."""
+    h = source.histogram().astype(np.float64)
+    size = 1 << (2 * len(h) - 1).bit_length()   # power of two >= 2 len(h): no wraparound
+    return np.fft.irfft(np.abs(np.fft.rfft(h, size)) ** 2, size)[:len(h)]
+
+
+def _band_from_acf(acf: np.ndarray, lo: float, hi: float) -> float:
+    """The sine series of band_integral_exact for one band."""
+    m = np.arange(1, len(acf))
+    series = acf[1:] * (np.sin(2 * np.pi * m * hi) - np.sin(2 * np.pi * m * lo)) / (np.pi * m)
+    return float(acf[0] * (hi - lo) + series.sum())
 
 
 def band_integral_exact(source: ExpSumSource, lo: float, hi: float) -> float:
@@ -235,16 +250,7 @@ def band_integral_exact(source: ExpSumSource, lo: float, hi: float) -> float:
         int_lo^hi |S|^2 = A(0)(hi-lo)
                           + sum_{m>=1} A(m) (sin 2 pi m hi - sin 2 pi m lo)/(pi m).
     """
-    h = source.histogram().astype(np.float64)
-    D = len(h)
-    size = 1
-    while size < 2 * D:
-        size *= 2
-    spec = np.abs(np.fft.rfft(h, size)) ** 2
-    acf = np.fft.irfft(spec, size)[:D]   # acf[m] = A(m), m >= 0
-    m = np.arange(1, D)
-    series = acf[1:] * (np.sin(2 * np.pi * m * hi) - np.sin(2 * np.pi * m * lo)) / (np.pi * m)
-    return float(acf[0] * (hi - lo) + series.sum())
+    return _band_from_acf(_autocorrelation(source), lo, hi)
 
 
 def _coprime_residues(q: int) -> list[int]:
@@ -261,43 +267,32 @@ class ArcProfile:
     measure: float
     integral: float
     ratio_to_flat: float     # integral / (|source|^2 / N)
-    grid_points: int
 
 
-def arc_profile(source: ExpSumSource, Q: int, K: int,
-                rtol: float = 1e-3) -> ArcProfile:
+def arc_profile(source: ExpSumSource, Q: int, K: int) -> ArcProfile:
     """Mass of |S|^2 on the dyadic region W_{Q,K} (diagnostic only).
 
     Windows with beta in +-[K/2N, K/N) are laid around every a/q with
     q in [Q/2, Q); overlaps between different dyadic regions are
-    possible at the family level and are not corrected here.
+    possible at the family level and are not corrected here.  Windows
+    are summed in closed form from one autocorrelation of R.
     """
     N = source.N
     if not Q < math.sqrt(N):
         raise InputError(f"need Q < sqrt(N), got Q={Q} at N={N}")
-    if not K < math.sqrt(N) / Q:
-        raise InputError(f"need K < sqrt(N)/Q, got K={K} at Q={Q}, N={N}")
+    if not 1 <= K < math.sqrt(N) / Q:
+        raise InputError(f"need 1 <= K < sqrt(N)/Q, got K={K} at Q={Q}, N={N}")
     qs = [q for q in range(max(1, (Q + 1) // 2), Q) if q >= Q / 2]
     if not qs:
         raise InputError(f"no moduli q with Q/2 <= q < Q for Q={Q}")
-    total = 0.0
-    measure = 0.0
-    npts = 0
-    nwin = 0
-    for q in qs:
-        for a in _coprime_residues(q):
-            center = a / q
-            for sign in (1, -1):
-                lo = center + sign * K / (2.0 * N)
-                hi = center + sign * K / N
-                lo, hi = min(lo, hi), max(lo, hi)
-                val, n = integrate_band(source, lo, hi, rtol=rtol)
-                total += val
-                measure += hi - lo
-                npts += n
-                nwin += 1
+    windows = [(lo, hi) for q in qs for a in _coprime_residues(q)
+               for lo, hi in ((a / q + K / (2.0 * N), a / q + K / N),
+                              (a / q - K / N, a / q - K / (2.0 * N)))]
+    acf = _autocorrelation(source)
+    total = sum(_band_from_acf(acf, lo, hi) for lo, hi in windows)
+    measure = sum(hi - lo for lo, hi in windows)
     flat = len(source) ** 2 / N
-    return ArcProfile(Q, K, nwin, measure, total, total / flat, npts)
+    return ArcProfile(Q, K, len(windows), measure, total, total / flat)
 
 
 def _farey(order: int) -> list[tuple[int, int]]:
@@ -316,24 +311,23 @@ class PartitionReport:
     Q_max: int
     n_cells: int
     n_bands: int
-    total_quadrature: float
+    total_bands: float
     total_parseval: float
     by_qk: dict                 # (q, K) -> mass;  K = 0 is the core band
 
     @property
     def rel_error(self) -> float:
-        return abs(self.total_quadrature - self.total_parseval) / self.total_parseval
+        return abs(self.total_bands - self.total_parseval) / self.total_parseval
 
 
-def dyadic_partition_report(source: ExpSumSource, Q_max: int,
-                            rtol: float = 1e-4) -> PartitionReport:
+def dyadic_partition_report(source: ExpSumSource, Q_max: int) -> PartitionReport:
     """Integrate |S|^2 over an exact partition of the circle and compare
     with Parseval.
 
     The circle splits into Farey cells of order Q_max (mediant
     boundaries); each cell splits into the core |beta| < 1/2N and
     dyadic bands K/2N <= |beta| < K/N clipped at the cell edge.  The
-    quadrature total must reproduce sum R(n)^2.
+    closed-form total from one autocorrelation must reproduce sum R(n)^2.
     """
     if Q_max < 2:
         raise InputError(f"need Q_max >= 2, got {Q_max}")
@@ -342,6 +336,7 @@ def dyadic_partition_report(source: ExpSumSource, Q_max: int,
     centers = [a / q for a, q in farey]
     mediants = [(farey[i][0] + farey[i + 1][0]) / (farey[i][1] + farey[i + 1][1])
                 for i in range(len(farey) - 1)]
+    acf = _autocorrelation(source)
     total = 0.0
     n_bands = 0
     by_qk: dict = {}
@@ -369,7 +364,7 @@ def dyadic_partition_report(source: ExpSumSource, Q_max: int,
                     continue
                 lo = center + (b0 if sign > 0 else -b1)
                 hi = center + (b1 if sign > 0 else -b0)
-                val, _ = integrate_band(source, lo, hi, rtol=rtol)
+                val = _band_from_acf(acf, lo, hi)
                 total += val
                 n_bands += 1
                 by_qk[(q, Kl)] = by_qk.get((q, Kl), 0.0) + val

@@ -87,14 +87,15 @@ def is_admissible(alphabet, d: int, q_max: int = 30) -> Admissibility:
 
     A finite proxy for "all q": obstructions come from a fixed bad
     modulus, so small q suffice in practice; raise q_max to taste.
-    Each q costs one bottom-row orbit of at most q^2 states.
+    Each q costs a q^2-state orbit; their sum is capped at CLOSURE_Q_CAP^2.
     """
     if d < 1:
         raise InputError(f"need d >= 1, got {d}")
     if q_max < 2:
         raise InputError(f"need q_max >= 2, got {q_max}")
-    if q_max > CLOSURE_Q_CAP:
-        raise ResourceError(f"q_max={q_max} above the closure cap {CLOSURE_Q_CAP}")
+    states = q_max * (q_max + 1) * (2 * q_max + 1) // 6 - 1   # sum of q^2, q = 2..q_max
+    if states > CLOSURE_Q_CAP ** 2:
+        raise ResourceError(f"q_max={q_max}: {states} closure states > {CLOSURE_Q_CAP ** 2}")
     alphabet = Alphabet.of(alphabet)
     for q in range(2, q_max + 1):
         if (d % q) not in closure_mod_q(alphabet, q).attainable_d:

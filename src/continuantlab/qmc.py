@@ -159,12 +159,16 @@ def write_points_csv(path, ps: PointSet2D, header_lines: Sequence[str] = ()) -> 
 
 
 def read_points_csv(path) -> PointSet2D:
+    """Points from x,y rows; an unreadable file or row raises InputError."""
     pts = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("x,"):
-                continue
-            xs, ys = line.split(",")
-            pts.append((float(xs), float(ys)))
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#") or line.startswith("x,"):
+                    continue
+                xs, ys = line.split(",")
+                pts.append((float(xs), float(ys)))
+    except (OSError, ValueError) as e:
+        raise InputError(f"cannot read points from {path}: {e}") from e
     return PointSet2D(tuple(pts))

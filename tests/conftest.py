@@ -65,6 +65,20 @@ def matrix_closure(letters, q: int) -> set:
     return seen
 
 
+def arc_windows(N: int, Q: int, K: int) -> list[tuple[float, float]]:
+    """The bands a/q + [K/2N, K/N) and a/q - [K/N, K/2N) for Q/2 <= q < Q,
+    0 <= a < q, gcd(a, q) = 1: the window set of expsum.arc_profile."""
+    out = []
+    for q in range(1, Q):
+        if 2 * q < Q:
+            continue
+        for a in range(q):
+            if gcd(a, q) == 1:
+                out.append((a / q + K / (2 * N), a / q + K / N))
+                out.append((a / q - K / N, a / q - K / (2 * N)))
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240901)

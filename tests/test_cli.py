@@ -4,7 +4,7 @@ import pytest
 
 from continuantlab.cli import run
 from continuantlab.modular import CLOSURE_Q_CAP
-from continuantlab.qmc import star_discrepancy, zn_points
+from continuantlab.qmc import read_points_csv, star_discrepancy, zn_points
 
 
 def run_json(capsys, argv):
@@ -79,6 +79,18 @@ def test_qmc_roundtrip(tmp_path, capsys):
     assert abs(doc["star_discrepancy"] - want) < 1e-12
 
 
+def test_qmc_disc_sampled_uses_seed(tmp_path, capsys):
+    pts_path = tmp_path / "points.csv"
+    run(["qmc", "zn", "--b", "3523", "--d", "4547", "--out", str(pts_path)])
+    capsys.readouterr()
+    ps = read_points_csv(pts_path)
+    code, doc = run_json(capsys, ["qmc", "disc", "--in", str(pts_path),
+                                  "--method", "sampled", "--seed", "1"])
+    assert code == 0
+    assert doc["star_discrepancy"] == star_discrepancy(ps, method="sampled", seed=1)
+    assert doc["star_discrepancy"] != star_discrepancy(ps, method="sampled", seed=0)
+
+
 def test_ensemble_subcommand(capsys):
     code, doc = run_json(capsys, ["ensemble", "--alphabet", "1,2",
                                   "--N", "100000", "--sample", "50"])
@@ -116,13 +128,26 @@ def test_repro_fig2(tmp_path, capsys):
     assert len(rows) == 4547
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(tmp_path, capsys):
     assert run(["exceptions", "--alphabet", "0,1", "--N", "100"]) == 2
     assert run(["modular", "closure", "--alphabet", "1,2", "--q", "99999"]) == 3
     assert run(["modular", "closure", "--alphabet", "1,2",
                 "--q", str(CLOSURE_Q_CAP + 1)]) == 3
+    assert run(["modular", "admissible", "--alphabet", "1,2", "--d", "7",
+                "--qmax", "144"]) == 3  # sum of q^2 over q <= 144 exceeds the cap^2
     assert run(["bogus"]) == 2          # argparse usage error
     assert run(["dimension", "--alphabet", "1,2", "--bogus-flag"]) == 2
+    # flags a subcommand would ignore are not accepted
+    assert run(["dimension", "--alphabet", "1,2", "--threads", "2"]) == 2
+    good, missing = tmp_path / "good.csv", tmp_path / "missing.csv"
+    good.write_text("x,y\n0.5,0.25\n")
+    assert run(["qmc", "disc", "--in", str(good), "--out", str(tmp_path / "x")]) == 2
+    # an unreadable --in file is an input error, not a traceback
+    assert run(["qmc", "disc", "--in", str(missing)]) == 2
+    for i, bad in enumerate(("x,y\n0.5,0.25,0.125\n", "x,y\nnot,numbers\n")):
+        malformed = tmp_path / f"malformed{i}.csv"
+        malformed.write_text(bad)
+        assert run(["qmc", "disc", "--in", str(malformed)]) == 2
     capsys.readouterr()
 
 

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import arc_windows
 from continuantlab.errors import InputError
 from continuantlab.expsum import (ExpSumSource, arc_profile,
                                   band_integral_exact, dyadic_partition_report,
@@ -115,17 +118,43 @@ def test_arc_profile_validation():
         arc_profile(src, 200, 1)     # Q >= sqrt(N)
     with pytest.raises(InputError):
         arc_profile(src, 64, 2)      # K >= sqrt(N)/Q
+    with pytest.raises(InputError):
+        arc_profile(src, 8, 0)       # K < 1: empty windows
+
+
+@st.composite
+def arc_cases(draw):
+    letters = draw(st.sets(st.integers(1, 5), min_size=1))
+    N = draw(st.integers(300, 3000))
+    # Q^2 < N; Q <= 10 keeps the quadrature side to at most 44 windows
+    Q = draw(st.integers(2, min(10, math.isqrt(N - 1))))
+    K = draw(st.integers(1, math.isqrt(N - 1) // Q))      # (KQ)^2 < N
+    return sorted(letters), N, Q, K
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=arc_cases())
+def test_arc_profile_matches_band_integrals(case):
+    letters, N, Q, K = case
+    src = source_from_orbit(letters, N)
+    prof = arc_profile(src, Q, K)
+    windows = arc_windows(N, Q, K)
+    assert prof.n_windows == len(windows)
+    exact = sum(band_integral_exact(src, lo, hi) for lo, hi in windows)
+    quad = sum(integrate_band(src, lo, hi)[0] for lo, hi in windows)
+    assert prof.integral == pytest.approx(exact, rel=1e-12)
+    assert prof.integral == pytest.approx(quad, rel=1e-3)
 
 
 def test_partition_consistency_with_parseval():
     src = source_from_orbit((1, 2), 300)
     rep = dyadic_partition_report(src, 8)
-    assert rep.rel_error < 0.01
+    assert rep.rel_error < 1e-9
     assert rep.total_parseval == pytest.approx(
         float(np.sum(np.bincount(src.values).astype(float) ** 2)))
     # mass accounting: every band is nonnegative
     assert all(v >= 0 for v in rep.by_qk.values())
-    assert sum(rep.by_qk.values()) == pytest.approx(rep.total_quadrature)
+    assert sum(rep.by_qk.values()) == pytest.approx(rep.total_bands)
 
 
 def test_source_validation():

@@ -100,7 +100,11 @@ def test_closure_cap_refuses_before_work():
         closure_mod_q((1, 2), CLOSURE_Q_CAP + 1)
     with pytest.raises(ResourceError):
         is_admissible((1, 2), 7, CLOSURE_Q_CAP + 1)
+    with pytest.raises(ResourceError):
+        is_admissible((1, 2), 7, 144)  # sum of q^2, q = 2..144, exceeds CLOSURE_Q_CAP^2
     assert time.perf_counter() - t0 < 0.05
+    # q_max = 143 is within the budget; the obstruction at q = 4 ends the scan
+    assert is_admissible((2, 4, 6, 8, 10), 7, 143) == Admissibility(False, 4)
 
 
 def test_strong_approximation_small_q():
