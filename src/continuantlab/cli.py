@@ -28,9 +28,8 @@ from .products import build_omega, check_products, omega_cardinality_report
 from .qmc import read_points_csv, star_discrepancy, write_points_csv, zn_points
 
 
-# Paths, and knobs that change how a result is computed but not the result,
-# stay out of the header so that files match across machines.
-_UNRECORDED_ARGS = {"func", "out", "mult_out", "out_dir", "infile", "threads"}
+# Paths stay out of the header so that files match across machines.
+_UNRECORDED_ARGS = {"func", "out", "mult_out", "out_dir", "infile"}
 
 
 def _header(args: argparse.Namespace, extra: dict | None = None) -> list[str]:
@@ -75,16 +74,23 @@ def _cmd_enumerate(args) -> int:
     t0 = time.time()
     alphabet = Alphabet.parse(args.alphabet)
     header = _header(args)
-    points = list(enumerate_orbit(alphabet, args.N, spellings=args.spellings))
+    table = None
     if args.out:
+        points = list(enumerate_orbit(alphabet, args.N, spellings=args.spellings))
         write_orbit_csv(args.out, points, header)
+        n_points = len(points)
+    else:
+        # the canonical table counts each point once: its total is the
+        # point count, without forming the points
+        table = multiplicity_table(alphabet, args.N, spellings=args.spellings)
+        n_points = table.total
     if args.mult_out:
-        table = multiplicity_table(alphabet, args.N, spellings=args.spellings,
-                                   representative=args.representative,
-                                   threads=args.threads)
+        if table is None or args.representative != table.representative:
+            table = multiplicity_table(alphabet, args.N, spellings=args.spellings,
+                                       representative=args.representative)
         write_mult_csv(args.mult_out, table, header)
     # --out holds the orbit CSV; the JSON summary goes to stdout only
-    print(json.dumps({"n_points": len(points), "N": args.N,
+    print(json.dumps({"n_points": n_points, "N": args.N,
                       "alphabet": str(alphabet),
                       "seconds": round(time.time() - t0, 3)},
                      indent=2, sort_keys=True))
@@ -255,8 +261,10 @@ def _cmd_repro(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an abbreviation such as --out for --out-dir would
+    # silently write somewhere the user did not name
     top = argparse.ArgumentParser(
-        prog="continuantlab",
+        prog="continuantlab", allow_abbrev=False,
         description="Bounded-partial-quotient continued fractions at desk scale")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -266,13 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output file path")
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("cf", help="canonical continued-fraction expansion")
+    p = sub.add_parser("cf", allow_abbrev=False,
+                       help="canonical continued-fraction expansion")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_cf)
 
-    p = sub.add_parser("enumerate", help="orbit points with d < N")
+    p = sub.add_parser("enumerate", allow_abbrev=False, help="orbit points with d < N")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--spellings", choices=("any", "canonical", "even"),
@@ -280,12 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representative", choices=("canonical", "orbit"),
                    default="canonical")
     p.add_argument("--mult-out", help="also write the multiplicity table CSV")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the --mult-out walk (same result for any value)")
     common(p)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("exceptions", help="empty-fiber continuants below N")
+    p = sub.add_parser("exceptions", allow_abbrev=False,
+                       help="empty-fiber continuants below N")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--spellings", choices=("any", "canonical", "even"),
@@ -293,61 +301,66 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_exceptions)
 
-    p = sub.add_parser("dimension", help="Hausdorff dimension of the limit set")
+    p = sub.add_parser("dimension", allow_abbrev=False,
+                       help="Hausdorff dimension of the limit set")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--nodes", type=int, default=64)
     common(p)
     p.set_defaults(func=_cmd_dimension)
 
-    p = sub.add_parser("ensemble", help="build Omega_N and check invariants")
+    p = sub.add_parser("ensemble", allow_abbrev=False,
+                       help="build Omega_N and check invariants")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--sample", type=int, default=500)
     common(p)
     p.set_defaults(func=_cmd_ensemble)
 
-    p = sub.add_parser("modular", help="mod-q closures and singular series")
+    p = sub.add_parser("modular", allow_abbrev=False,
+                       help="mod-q closures and singular series")
     msub = p.add_subparsers(dest="modular_cmd", required=True)
-    pc = msub.add_parser("closure")
+    pc = msub.add_parser("closure", allow_abbrev=False)
     pc.add_argument("--alphabet", required=True)
     pc.add_argument("--q", type=int, required=True)
     common(pc)
     pc.set_defaults(func=_cmd_modular)
-    ps_ = msub.add_parser("sseries")
+    ps_ = msub.add_parser("sseries", allow_abbrev=False)
     ps_.add_argument("--n", type=int, required=True)
     ps_.add_argument("--P", type=int, required=True)
     common(ps_)
     ps_.set_defaults(func=_cmd_modular)
-    pn = msub.add_parser("nu")
+    pn = msub.add_parser("nu", allow_abbrev=False)
     pn.add_argument("--q", type=int, required=True)
     pn.add_argument("--a", type=int, required=True)
     common(pn)
     pn.set_defaults(func=_cmd_modular)
-    pa = msub.add_parser("admissible")
+    pa = msub.add_parser("admissible", allow_abbrev=False)
     pa.add_argument("--alphabet", required=True)
     pa.add_argument("--d", type=int, required=True)
     pa.add_argument("--qmax", type=int, default=30)
     common(pa)
     pa.set_defaults(func=_cmd_modular)
 
-    p = sub.add_parser("qmc", help="lattice point sets and discrepancy")
+    p = sub.add_parser("qmc", allow_abbrev=False,
+                       help="lattice point sets and discrepancy")
     qsub = p.add_subparsers(dest="qmc_cmd", required=True)
-    pz = qsub.add_parser("zn")
+    pz = qsub.add_parser("zn", allow_abbrev=False)
     pz.add_argument("--b", type=int, required=True)
     pz.add_argument("--d", type=int, required=True)
     pz.add_argument("--drop-origin", action="store_true")
     common(pz)
     pz.set_defaults(func=_cmd_qmc)
-    pd = qsub.add_parser("disc")
+    pd = qsub.add_parser("disc", allow_abbrev=False)
     pd.add_argument("--in", dest="infile", required=True)
     pd.add_argument("--method", choices=("exact", "sampled"), default="exact")
     common(pd, out=False)
     pd.set_defaults(func=_cmd_qmc)
 
-    p = sub.add_parser("expsum", help="exponential-sum arc profiles")
+    p = sub.add_parser("expsum", allow_abbrev=False,
+                       help="exponential-sum arc profiles")
     esub = p.add_subparsers(dest="expsum_cmd", required=True)
-    pp = esub.add_parser("profile")
+    pp = esub.add_parser("profile", allow_abbrev=False)
     pp.add_argument("--alphabet", required=True)
     pp.add_argument("--N", type=int, required=True)
     pp.add_argument("--Q", type=int, required=True)
@@ -355,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pp)
     pp.set_defaults(func=_cmd_expsum)
 
-    p = sub.add_parser("repro", help="regenerate the data behind the figures")
+    p = sub.add_parser("repro", allow_abbrev=False,
+                       help="regenerate the data behind the figures")
     p.add_argument("figure",
                    choices=("fig2", "fig3", "fig5", "fig6", "fig7", "fig8"))
     p.add_argument("--N", type=int, default=None)

@@ -50,7 +50,7 @@ class ResidueClosure:
         return len(self.attainable_d) == self.q
 
 
-def closure_mod_q(alphabet, q: int, q_cap: int = CLOSURE_Q_CAP) -> ResidueClosure:
+def closure_mod_q(alphabet, q: int) -> ResidueClosure:
     """Residues mod q of the continuants of every nonempty word.
 
     Worklist fixed point of (c, d) -> (d, c + a*d) mod q from the
@@ -60,8 +60,8 @@ def closure_mod_q(alphabet, q: int, q_cap: int = CLOSURE_Q_CAP) -> ResidueClosur
     alphabet = Alphabet.of(alphabet)
     if q < 2:
         raise InputError(f"need q >= 2, got {q}")
-    if q > q_cap:
-        raise ResourceError(f"q={q} above the closure cap {q_cap}")
+    if q > CLOSURE_Q_CAP:
+        raise ResourceError(f"q={q} above the closure cap {CLOSURE_Q_CAP}")
     steps = sorted({a % q for a in alphabet})
     seen = bytearray(q * q)
     work = [q + a for a in steps]  # the rows (1, a)

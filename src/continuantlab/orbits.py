@@ -2,10 +2,17 @@
 
 The object enumerated is the orbit of e2 = (0,1)^t under the semigroup
 generated by (0 1; 1 a), a in the alphabet: equivalently all rationals
-b/d admitting a continued-fraction spelling over the alphabet.  Depth
-first extension of words prunes exactly when the continuant d reaches
-the bound N, which is sound because d strictly increases along every
-extension.
+b/d admitting a continued-fraction spelling over the alphabet.  Words
+are extended one letter at a time and pruned exactly when the continuant
+d reaches the bound N, which is sound because d strictly increases along
+every extension.
+
+Two walks share that rule.  Points with their words (`enumerate_orbit`,
+and through it the orbit CSV, `sumset_check` and the primitive-root
+search) come from a depth-first walk in Python.  Fiber counts
+(`multiplicity_table` and everything built on it, `counts_at_thresholds`)
+come from a level-synchronous numpy frontier of continuant pairs, which
+never forms a word or a numerator.
 
 Spelling conventions.  Every rational except 1 has two CF spellings,
 the canonical one (last quotient >= 2) and its trailing-1 twin.  Which
@@ -37,10 +44,7 @@ counting of words, versus the default "canonical" counting of values).
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -87,7 +91,8 @@ def _walk(alphabet, N: int, visit: Callable[[int, int, Word], None],
 
     Calls visit(b, d, word) once per member rational (per `spellings`).
     `prefix` restricts the walk to words starting with that prefix
-    (used for parallel partitioning); the prefix itself is visited.
+    (enumerate_orbit walks one leading letter at a time); the prefix
+    itself is visited.
     """
     letters = Alphabet.of(alphabet).letters
     lset = frozenset(letters)
@@ -157,50 +162,95 @@ class MultiplicityTable:
         return [d for d in range(2, self.N) if d not in self.counts]
 
 
-def _count_subtree(args) -> Counter:
-    letters, N, spellings, representative, prefix = args
+def _fibers(alphabet: Alphabet, N: int, spellings: str,
+            representative: str = "canonical") -> tuple[np.ndarray, np.ndarray]:
+    """(ds, counts): the continuants d < N of the emitted words, ascending,
+    with the weighted number of emitted words at each.
+
+    Level-synchronous: level k holds the continuant pair (q_{k-1}, q_k)
+    of every word of length k with q_k < N, grouped by last letter,
+    because the emit rule reads only the new letter, the one before it
+    and the parity of k.  A parent that overflows letter a overflows
+    every larger letter, so each letter extends only the survivors of the
+    one before.  One chunk per leading letter bounds memory by the
+    largest subtree.
+    """
+    letters = alphabet.letters
     lset = frozenset(letters)
-    cnt: Counter = Counter()
-    if representative == "orbit" and spellings == "any":
-        # weight 2 when both spellings of the value lie over the alphabet
-        def visit(b, d, w):
-            both = w[-1] >= 2 and (w[-1] - 1) in lset and 1 in lset
-            cnt[d] += 2 if both else 1
-    else:
-        def visit(b, d, w):
-            cnt[d] += 1
-    _walk(Alphabet.of(letters), N, visit, spellings=spellings, prefix=prefix)
-    return cnt
+    both = representative == "orbit" and spellings == "any" and 1 in lset
+    # q_{k-1} + a * q_k < (a_max + 1) * N bounds every value computed
+    dtype = np.int32 if (alphabet.a_max + 1) * N < 2 ** 31 else np.int64
+
+    def weight(prev: int, a: int, depth: int) -> int:
+        # the _emit_test rules; prev = 0 for a one-letter word, so the
+        # word (1) is never emitted
+        if spellings == "canonical":
+            return int(a >= 2)
+        if spellings == "even":
+            return int(depth % 2 == 0)
+        if a >= 2:
+            return 2 if both and (a - 1) in lset else 1
+        return int(prev > 0 and (prev + 1) not in lset)
+
+    # emitted continuants not yet counted, one copy per unit of weight.
+    # They go into an N-long histogram once they reach N entries, so each
+    # bincount costs O(N) that often; an orbit with fewer words than N is
+    # sorted instead and never allocates the histogram.
+    emitted: list[np.ndarray] = []
+    hist = None
+    for first in letters:
+        if first >= N:
+            break
+        q1 = np.full(1, first, dtype)  # the one-letter word: (q_0, q_1) = (1, first)
+        frontier = {first: (np.ones(1, dtype), q1)}
+        emitted += [q1] * weight(0, first, 1)
+        depth = 1
+        while frontier:
+            depth += 1
+            grown: dict[int, tuple[list, list]] = {}
+            for prev, (qp, q) in frontier.items():
+                nq, step = qp, 0
+                for a in letters:
+                    nq = nq + (a - step) * q  # = q_{k-1} + a * q_k
+                    step = a
+                    fits = nq < N
+                    if not fits.all():
+                        q, nq = q[fits], nq[fits]
+                    if not len(nq):
+                        break
+                    qps, qs = grown.setdefault(a, ([], []))
+                    qps.append(q)
+                    qs.append(nq)
+                    emitted += [nq] * weight(prev, a, depth)
+            frontier = {a: (np.concatenate(qps), np.concatenate(qs))
+                        for a, (qps, qs) in grown.items()}
+            if sum(map(len, emitted)) >= N:
+                counted = np.bincount(np.concatenate(emitted), minlength=N)
+                hist = counted if hist is None else hist + counted
+                emitted = []
+    rest = np.concatenate(emitted) if emitted else np.zeros(0, dtype)
+    if hist is None:
+        return np.unique(rest, return_counts=True)
+    hist += np.bincount(rest, minlength=N)
+    ds = np.flatnonzero(hist)
+    return ds, hist[ds]
 
 
 def multiplicity_table(alphabet, N: int, spellings: str = "any",
-                       representative: str = "canonical",
-                       threads: int = 1) -> MultiplicityTable:
+                       representative: str = "canonical") -> MultiplicityTable:
     """Aggregate the enumeration into fiber counts.
 
     representative="canonical" counts each rational once;
     representative="orbit" counts each word over the alphabet (so a
     value with both spellings over the alphabet weighs 2).  The flag
     only matters for spellings="any".
-
-    threads > 1 partitions the walk by leading letter across processes;
-    tables merge by addition, so the result is identical for any count.
     """
     if representative not in ("canonical", "orbit"):
         raise InputError(f"representative must be canonical|orbit, got {representative!r}")
-    alphabet = Alphabet.of(alphabet)
-    _check_spellings(spellings)
-    letters = alphabet.letters
-    jobs = [(letters, N, spellings, representative, (a,)) for a in letters]
-    total: Counter = Counter()
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
-            for cnt in ex.map(_count_subtree, jobs):
-                total.update(cnt)
-    else:
-        for job in jobs:
-            total.update(_count_subtree(job))
-    return MultiplicityTable(N, dict(total), spellings, representative)
+    ds, counts = _fibers(Alphabet.of(alphabet), N, _check_spellings(spellings),
+                         representative)
+    return MultiplicityTable(N, dict(zip(ds.tolist(), counts.tolist())),
+                             spellings, representative)
 
 
 def exceptions(alphabet, N: int, spellings: str = "canonical") -> list[int]:
@@ -215,22 +265,15 @@ def exceptions(alphabet, N: int, spellings: str = "canonical") -> list[int]:
 
 def counts_at_thresholds(alphabet, N_list: Sequence[int],
                          spellings: str = "any") -> list[int]:
-    """#R(N_i) for each threshold, from a single walk to max(N_list)."""
+    """#R(N_i) for each threshold, from one fiber count at max(N_list)."""
     thresholds = sorted(set(int(n) for n in N_list))
     if any(n < 2 for n in thresholds):
         raise InputError("thresholds must be >= 2")
-    hist = [0] * (len(thresholds) + 1)
-
-    def visit(b, d, w):
-        hist[bisect.bisect_right(thresholds, d)] += 1
-
-    _walk(Alphabet.of(alphabet), thresholds[-1], visit, spellings=spellings)
-    # suffix-free prefix sums: count(N_i) = all entries with d < N_i
-    out, acc = [], 0
-    for i in range(len(thresholds)):
-        acc += hist[i]
-        out.append(acc)
-    return out
+    ds, counts = _fibers(Alphabet.of(alphabet), thresholds[-1],
+                         _check_spellings(spellings))
+    # below[i] sums the i smallest fibers; searchsorted counts those with d < n
+    below = np.concatenate(([0], np.cumsum(counts)))
+    return [int(below[np.searchsorted(ds, n)]) for n in thresholds]
 
 
 def hensley_exponent(alphabet, N_list: Sequence[int],

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
-from continuantlab.cfcore import cf_expand
+from continuantlab.cfcore import Alphabet, cf_expand
+from continuantlab.orbits import _walk
 
 
 def random_word(rng: random.Random, letters, lo: int, hi: int, even=False):
@@ -42,6 +44,27 @@ def brute_force_orbit(letters, N: int, spellings: str = "any"):
                     if ok and len(w) % 2 == 0:
                         out.add((b, d))
     return out
+
+
+def dfs_fiber_counts(letters, N: int, spellings: str = "any",
+                     representative: str = "canonical") -> dict[int, int]:
+    """d -> weighted count of the points the depth-first walk visits.
+
+    The per-point oracle for the numpy frontier behind
+    orbits.multiplicity_table: weight 2 under representative="orbit" with
+    spellings="any" when the visited word ends in a >= 2 and its twin
+    [..., a-1, 1] also lies over the alphabet, else weight 1.
+    """
+    lset = frozenset(letters)
+    orbit = representative == "orbit" and spellings == "any"
+    counts: Counter = Counter()
+
+    def visit(b, d, w):
+        both = orbit and w[-1] >= 2 and (w[-1] - 1) in lset and 1 in lset
+        counts[d] += 2 if both else 1
+
+    _walk(Alphabet.of(letters), N, visit, spellings=spellings)
+    return dict(counts)
 
 
 def matrix_closure(letters, q: int) -> set:

@@ -139,6 +139,12 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["dimension", "--alphabet", "1,2", "--bogus-flag"]) == 2
     # flags a subcommand would ignore are not accepted
     assert run(["dimension", "--alphabet", "1,2", "--threads", "2"]) == 2
+    assert run(["enumerate", "--alphabet", "1,2", "--N", "50", "--threads", "2"]) == 2
+    # no prefix matching: --out is not --out-dir, --mult is not --mult-out
+    assert run(["repro", "fig7", "--N", "50", "--out", str(tmp_path / "X")]) == 2
+    assert run(["enumerate", "--alphabet", "1,2", "--N", "50",
+                "--mult", str(tmp_path / "m.csv")]) == 2
+    assert not (tmp_path / "X").exists() and not (tmp_path / "m.csv").exists()
     good, missing = tmp_path / "good.csv", tmp_path / "missing.csv"
     good.write_text("x,y\n0.5,0.25\n")
     assert run(["qmc", "disc", "--in", str(good), "--out", str(tmp_path / "x")]) == 2
@@ -161,15 +167,20 @@ def test_dimension_out_file_has_no_timing(tmp_path, capsys):
     assert abs(stored["result"]["delta"] - 0.4544890776618) < 1e-9
 
 
-def test_threads_do_not_enter_files(tmp_path, capsys):
-    outs = []
-    for threads in (1, 2):
-        orbit, mult = tmp_path / f"orbit{threads}.csv", tmp_path / f"mult{threads}.csv"
-        code = run(["enumerate", "--alphabet", "1,2", "--N", "300",
-                    "--out", str(orbit), "--mult-out", str(mult),
-                    "--threads", str(threads)])
-        capsys.readouterr()
+def test_enumerate_files_are_byte_identical(tmp_path, capsys):
+    outs, docs = [], []
+    for i in range(2):
+        orbit, mult = tmp_path / f"orbit{i}.csv", tmp_path / f"mult{i}.csv"
+        code, doc = run_json(capsys, ["enumerate", "--alphabet", "1,2", "--N", "300",
+                                      "--out", str(orbit), "--mult-out", str(mult)])
         assert code == 0
         outs.append((orbit.read_bytes(), mult.read_bytes()))
+        docs.append(doc)
     assert outs[0] == outs[1]
-    assert b"threads" not in outs[0][1]
+    # without --out the points are counted, not formed: same count, same table
+    mult = tmp_path / "mult_only.csv"
+    code, doc = run_json(capsys, ["enumerate", "--alphabet", "1,2", "--N", "300",
+                                  "--mult-out", str(mult)])
+    assert code == 0
+    assert doc["n_points"] == docs[0]["n_points"] == len(outs[0][0].splitlines()) - 4
+    assert mult.read_bytes() == outs[0][1]

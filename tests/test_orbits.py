@@ -4,15 +4,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from continuantlab.cfcore import Alphabet, cf_value
 from continuantlab.errors import InputError
-from continuantlab.orbits import (MultiplicityTable, counts_at_thresholds,
-                                  density_ratio, enumerate_orbit, exceptions,
+from continuantlab.orbits import (SPELLINGS, MultiplicityTable,
+                                  counts_at_thresholds, density_ratio,
+                                  enumerate_orbit, exceptions,
                                   hensley_exponent, multiplicity_table,
                                   sumset_check, write_exceptions_csv,
                                   write_mult_csv, write_orbit_csv)
-from conftest import brute_force_orbit
+from conftest import brute_force_orbit, dfs_fiber_counts
 
 FIB_DENOMS = [2, 3, 5, 8, 13, 21, 34, 55, 89]
 
@@ -98,10 +101,27 @@ def test_prefix_continuants_increase():
         assert all(ds[i] < ds[i + 1] for i in range(len(ds) - 1))
 
 
-def test_determinism_across_workers():
-    t1 = multiplicity_table((1, 2), 2000, threads=1)
-    t2 = multiplicity_table((1, 2), 2000, threads=2)
-    assert t1.counts == t2.counts
+# the DFS oracle costs about 1 us per point: N <= 9000 / #letters keeps
+# every example near or below 3 * 10^5 points
+CASES = st.sets(st.integers(1, 8), min_size=1).flatmap(
+    lambda s: st.tuples(st.just(sorted(s)), st.integers(0, 9000 // max(3, len(s)))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=CASES, spellings=st.sampled_from(SPELLINGS),
+       representative=st.sampled_from(("canonical", "orbit")))
+@example(case=([1, 2], 3000), spellings="any", representative="orbit")
+@example(case=([1, 3], 3000), spellings="any", representative="canonical")
+@example(case=([1, 2 ** 30], 3000), spellings="any", representative="orbit")
+def test_fiber_counts_match_dfs(case, spellings, representative):
+    # the frontier against the per-point walk; {1, 2^30} needs int64 pairs
+    letters, N = case
+    want = dfs_fiber_counts(letters, N, spellings, representative)
+    assert multiplicity_table(letters, N, spellings, representative).counts == want
+    if N >= 2 and representative == "canonical":
+        Ns = [2, N // 2 + 1, N]
+        assert counts_at_thresholds(letters, Ns, spellings) == [
+            sum(c for d, c in want.items() if d < n) for n in sorted(set(Ns))]
 
 
 def test_counts_at_thresholds_matches_direct():
