@@ -33,7 +33,6 @@ from math import gcd
 from typing import Optional
 
 import numpy as np
-from scipy.signal import czt
 
 from .cfcore import Alphabet, mat_mul
 from .errors import InputError, NumericalError, ResourceError
@@ -134,6 +133,8 @@ def _sn_uniform_grid(source: ExpSumSource, t0: float, dt: float,
         th = t0 + dt * np.arange(m)
         phase = np.exp(2j * np.pi * ((th[:, None] * vals[None, :]) % 1.0))
         return phase.sum(axis=1)
+    from scipy.signal import czt  # deferred: importing it dominates CLI start-up
+
     h = source.histogram().astype(np.complex128)
     n = np.arange(len(h))
     x = h * np.exp(2j * np.pi * ((t0 * n) % 1.0))

@@ -12,14 +12,21 @@ star_discrepancy computes the anchored-box discrepancy exactly: the
 supremum over boxes [0,u) x [0,v) of |uv - fraction of points| is
 attained on the grid of point coordinates (plus 1.0), with the deficit
 side evaluated against open counts (x < u, y < v) and the excess side
-against closed counts (x <= u, y <= v).  The scan is O(n^2).  The
+against closed counts (x <= u, y <= v).  One sweep walks the distinct x
+values in order and keeps, for each of the m distinct y values, the
+number of points already passed that lie below it; each column updates
+these counts and evaluates both sides over all m values with numpy.
+Time is O(n*m) for n points, memory O(n).  Counts stay integers and are
+scaled by 1/n at each use.  A y value that no passed point has is
+dominated by the next occupied one (deficit side) or the previous one
+(excess side), since float products round monotonically, so the value
+is the same bit for bit as a scan over the occupied grid.  The
 all-rectangles (extreme) discrepancy is not computed; it is bounded by
 4x the anchored value, which keeps upper-bound checks sound.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 
-EXACT_POINT_CAP = 10_000
+EXACT_POINT_CAP = 40_000
 
 
 @dataclass(frozen=True)
@@ -70,56 +77,63 @@ def zn_points(b: int, d: int, drop_origin: bool = False) -> PointSet2D:
 
 def star_discrepancy(ps: PointSet2D | Sequence[tuple[float, float]],
                      method: str = "exact", samples: int = 20000,
-                     seed: int = 0, max_points: int = EXACT_POINT_CAP) -> float:
+                     seed: int = 0) -> float:
     """Anchored-box discrepancy; exact by default.
 
     method="sampled" evaluates a random subset of the critical grid and
     returns a lower bound (use for point sets above the exact cap).
+    A raw sequence is checked like a PointSet2D: every point in [0,1)^2.
     """
-    pts = list(ps.points if isinstance(ps, PointSet2D) else ps)
-    n = len(pts)
+    if not isinstance(ps, PointSet2D):
+        ps = PointSet2D(tuple(ps))
+    n = len(ps)
     if n < 1:
         raise InputError("empty point set")
-    if method == "sampled":
-        return _sampled_discrepancy(pts, samples, seed)
-    if method != "exact":
+    if method not in ("exact", "sampled"):
         raise InputError(f"method must be exact|sampled, got {method!r}")
-    if n > max_points:
+    if method == "exact" and n > EXACT_POINT_CAP:
         raise ResourceError(
-            f"{n} points exceeds the O(n^2) exact cap {max_points}; "
-            "pass method='sampled' for a sampled lower bound")
-    pts.sort()
-    xs = [p[0] for p in pts]
-    best = 0.0
-    sorted_y: list[float] = []
-    i = 0
+            f"{n} points exceeds the exact cap {EXACT_POINT_CAP} of the "
+            "O(n*m) sweep; pass method='sampled' for a sampled lower bound")
+    xy = np.array(ps.points, dtype=np.float64).reshape(n, 2)
+    x, y = np.ascontiguousarray(xy.T)
+    if method == "sampled":
+        return _sampled_discrepancy(x, y, samples, seed)
+    return _exact_discrepancy(x, y)
+
+
+def _exact_discrepancy(x: np.ndarray, y: np.ndarray) -> float:
+    """The sweep over distinct x described in the module docstring."""
+    n = len(x)
+    ys, rank = np.unique(y, return_inverse=True)
+    order = np.lexsort((y, x))
+    x, rank = x[order], rank[order]
+    cut = (np.flatnonzero(x[1:] != x[:-1]) + 1).tolist()
+    starts, ends = [0] + cut, cut + [n]
+    # below[j] counts passed points of y rank < j: below[:-1] are the open
+    # counts (y < ys[j]) and below[1:] the closed counts (y <= ys[j])
+    below = np.zeros(len(ys) + 1, dtype=np.int64)
+    opn, cls = below[:-1], below[1:]
     inv = 1.0 / n
-    for u in sorted(set(xs)):
-        # deficit side: boxes [0,u) x [0,v), counts strictly inside
-        k = i
-        if k:
-            arr = np.array(sorted_y)
-            lt = np.searchsorted(arr, arr, side="left")
-            best = max(best, float(np.max(u * arr - lt * inv)))
-        best = max(best, u - k * inv)  # v = 1
-        while i < n and pts[i][0] == u:
-            bisect.insort(sorted_y, pts[i][1])
-            i += 1
-        # excess side: boxes [0,u] x [0,v], closed counts
-        arr = np.array(sorted_y)
-        le = np.searchsorted(arr, arr, side="right")
-        best = max(best, float(np.max(le * inv - u * arr)))
-    arr = np.array(sorted_y)  # u = 1
-    lt = np.searchsorted(arr, arr, side="left")
-    best = max(best, float(np.max(arr - lt * inv)))
-    return best
+    uy, t = np.empty_like(ys), np.empty_like(ys)
+    best = 0.0
+    for u, lo, hi in zip(x[starts].tolist(), starts, ends):
+        np.multiply(ys, u, out=uy)
+        # deficit side before the column's points enter, and v = 1
+        np.subtract(uy, np.multiply(opn, inv, out=t), out=t)
+        best = max(best, float(t.max()), u - lo * inv)
+        for r in rank[lo:hi].tolist():
+            below[r + 1:] += 1
+        # excess side with the column's points counted
+        np.subtract(np.multiply(cls, inv, out=t), uy, out=t)
+        best = max(best, float(t.max()))
+    return max(best, float(np.max(ys - opn * inv)))  # u = 1
 
 
-def _sampled_discrepancy(pts, samples: int, seed: int) -> float:
-    n = len(pts)
+def _sampled_discrepancy(xs: np.ndarray, ys: np.ndarray, samples: int,
+                         seed: int) -> float:
+    n = len(xs)
     rng = random.Random(seed)
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
     best = 0.0
     inv = 1.0 / n
     for _ in range(samples):

@@ -1,11 +1,14 @@
+import bisect
 import random
 from collections import Counter
 from math import gcd
 
+import numpy as np
 import pytest
 
 from continuantlab.cfcore import Alphabet, cf_expand
 from continuantlab.orbits import _walk
+from continuantlab.qmc import PointSet2D
 
 
 def random_word(rng: random.Random, letters, lo: int, hi: int, even=False):
@@ -100,6 +103,42 @@ def arc_windows(N: int, Q: int, K: int) -> list[tuple[float, float]]:
                 out.append((a / q + K / (2 * N), a / q + K / N))
                 out.append((a / q - K / N, a / q - K / (2 * N)))
     return out
+
+
+def scan_star_discrepancy(ps) -> float:
+    """Exact anchored-box discrepancy by an O(n^2) scan over the grid.
+
+    Keeps the y values seen so far in a sorted list and counts them with
+    searchsorted at every distinct x: the per-column oracle for the rank
+    sweep in qmc.star_discrepancy, which must agree bit for bit.
+    """
+    pts = list(ps.points if isinstance(ps, PointSet2D) else ps)
+    n = len(pts)
+    pts.sort()
+    xs = [p[0] for p in pts]
+    best = 0.0
+    sorted_y: list[float] = []
+    i = 0
+    inv = 1.0 / n
+    for u in sorted(set(xs)):
+        # deficit side: boxes [0,u) x [0,v), counts strictly inside
+        k = i
+        if k:
+            arr = np.array(sorted_y)
+            lt = np.searchsorted(arr, arr, side="left")
+            best = max(best, float(np.max(u * arr - lt * inv)))
+        best = max(best, u - k * inv)  # v = 1
+        while i < n and pts[i][0] == u:
+            bisect.insort(sorted_y, pts[i][1])
+            i += 1
+        # excess side: boxes [0,u] x [0,v], closed counts
+        arr = np.array(sorted_y)
+        le = np.searchsorted(arr, arr, side="right")
+        best = max(best, float(np.max(le * inv - u * arr)))
+    arr = np.array(sorted_y)  # u = 1
+    lt = np.searchsorted(arr, arr, side="left")
+    best = max(best, float(np.max(arr - lt * inv)))
+    return best
 
 
 @pytest.fixture

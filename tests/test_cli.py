@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import continuantlab
+from continuantlab import qmc
 from continuantlab.cli import run
 from continuantlab.modular import CLOSURE_Q_CAP
-from continuantlab.qmc import read_points_csv, star_discrepancy, zn_points
+from continuantlab.qmc import (EXACT_POINT_CAP, read_points_csv, star_discrepancy,
+                               zn_points)
 
 
 def run_json(capsys, argv):
@@ -128,7 +134,7 @@ def test_repro_fig2(tmp_path, capsys):
     assert len(rows) == 4547
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["exceptions", "--alphabet", "0,1", "--N", "100"]) == 2
     assert run(["modular", "closure", "--alphabet", "1,2", "--q", "99999"]) == 3
     assert run(["modular", "closure", "--alphabet", "1,2",
@@ -154,7 +160,27 @@ def test_exit_codes(tmp_path, capsys):
         malformed = tmp_path / f"malformed{i}.csv"
         malformed.write_text(bad)
         assert run(["qmc", "disc", "--in", str(malformed)]) == 2
+    # one point over the exact cap is refused before the sweep starts
+    n = EXACT_POINT_CAP + 1
+    big = tmp_path / "big.csv"
+    big.write_text("x,y\n" + "".join(f"{i / n!r},{7 * i % n / n!r}\n" for i in range(n)))
+
+    def no_sweep(x, y):
+        raise AssertionError("the exact sweep started above the cap")
+
+    monkeypatch.setattr(qmc, "_exact_discrepancy", no_sweep)
+    assert run(["qmc", "disc", "--in", str(big)]) == 3
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only by the chirp-z path of expsum._sn_uniform_grid
+    src = os.path.dirname(os.path.dirname(continuantlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, continuantlab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_dimension_out_file_has_no_timing(tmp_path, capsys):

@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from continuantlab.cfcore import cf_expand
 from continuantlab.errors import InputError, ResourceError
-from continuantlab.qmc import (PointSet2D, lattice_pairs, read_points_csv,
-                               schmidt_floor, star_discrepancy,
+from continuantlab.qmc import (EXACT_POINT_CAP, PointSet2D, lattice_pairs,
+                               read_points_csv, schmidt_floor, star_discrepancy,
                                write_points_csv, zaremba_bound, zn_points)
+from conftest import scan_star_discrepancy
 
 
 def brute_star(pts):
@@ -63,6 +66,37 @@ def test_duplicates_handled_exactly():
         assert star_discrepancy(dup) == pytest.approx(brute_star(dup), abs=1e-12)
 
 
+UNIFORM = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                             st.floats(0.0, 1.0, exclude_max=True)),
+                   min_size=1, max_size=300)
+# a k/m grid forces ties in x and in y, and repeats points once 300 > m^2
+GRID = st.sampled_from((2, 7, 50)).flatmap(
+    lambda m: st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                       min_size=1, max_size=300).map(
+        lambda ks: [(i / m, j / m) for i, j in ks]))
+REPEATED = st.tuples(UNIFORM, st.integers(1, 5)).map(
+    lambda c: (c[0] * c[1])[:300])
+LATTICE = st.integers(2, 500).flatmap(
+    lambda d: st.integers(1, d - 1).filter(lambda b: math.gcd(b, d) == 1).map(
+        lambda b: list(zn_points(b, d).points)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=st.one_of(UNIFORM, GRID, REPEATED, LATTICE))
+@example(pts=[(0.5, 0.5)])
+@example(pts=[(0.0, 0.0)] * 3)
+@example(pts=list(zn_points(144, 233).points))
+def test_sweep_matches_scan_bit_for_bit(pts):
+    assert star_discrepancy(pts) == scan_star_discrepancy(pts)
+
+
+def test_sweep_matches_scan_on_reference_lattice():
+    # the good multiplier of acceptance criterion 8; the O(n^2) scan keeps
+    # this to one lattice at d = 4547
+    ps = zn_points(3523, 4547)
+    assert star_discrepancy(ps) == scan_star_discrepancy(ps)
+
+
 def test_lattice_symmetry_under_multiplier_inversion():
     # swapping coordinates maps the b-lattice to the b^{-1} mod d lattice
     for b, d in ((3, 7), (55, 89), (3523, 4547)):
@@ -99,8 +133,8 @@ def test_star_over_floor_band_small():
 
 
 def test_exact_cap_and_sampled_mode():
-    big = PointSet2D(tuple((i / 20001, (7 * i % 20001) / 20001)
-                           for i in range(20001)))
+    n = EXACT_POINT_CAP + 1
+    big = PointSet2D(tuple((i / n, (7 * i % n) / n) for i in range(n)))
     with pytest.raises(ResourceError, match="sampled"):
         star_discrepancy(big)
     ps = zn_points(21, 55)
@@ -126,6 +160,10 @@ def test_quotient_height_vs_discrepancy_scan():
 def test_points_validation_and_csv(tmp_path):
     with pytest.raises(InputError):
         PointSet2D(((0.5, 1.0),))
+    # a raw sequence gets the same check
+    for bad in ([(1.5, 0.5)], [(0.5, math.nan)], [(math.nan, 0.5)]):
+        with pytest.raises(InputError):
+            star_discrepancy(bad)
     ps = zn_points(3, 7)
     path = tmp_path / "pts.csv"
     write_points_csv(path, ps, ["header line"])
