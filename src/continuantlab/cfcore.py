@@ -14,8 +14,10 @@ Conventions used throughout the package:
     with b/d the value of the word, so the denominator d is the
     continuant of the word.
   * Matrices are plain tuples (a, b, c, d) read row-major:
-    (a b; c d).  Entries are Python ints, hence arbitrary precision;
-    no overflow handling is needed.
+    (a b; c d).  Entries are Python ints, hence arbitrary precision.
+    The numpy frontier `gamma_levels` holds entries as int64 only while
+    every product it forms provably stays below 2^63, and as Python-int
+    object arrays beyond that, so it never overflows either.
 
 Even-length words have determinant +1 and, when nonidentity, satisfy the
 entry order 1 <= a <= min(b, c) <= max(b, c) < d.  Their expanding
@@ -32,12 +34,22 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InputError, NumericalError
+import numpy as np
+
+from .errors import InputError, NumericalError, ResourceError
 
 Mat2 = tuple[int, int, int, int]
 Word = tuple[int, ...]
 
 IDENTITY: Mat2 = (1, 0, 0, 1)
+
+# Most elements one level of a numpy frontier may hold: a level of this
+# module's det +1 semigroup walk, or of one leading-letter chunk of the
+# continuant pairs in orbits._fibers.  Levels grow geometrically, so this
+# also bounds the time and memory a refused request costs.  The largest
+# legitimate level holds 2 013 852 elements ({1..5} at N = 2*10^4 in
+# orbits._fibers), about half the cap.
+FRONTIER_CAP = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -255,25 +267,128 @@ def vplus_distance(m: Mat2, n: Mat2) -> float:
     return math.hypot(vm[0] - vn[0], vm[1] - vn[1])
 
 
-def iter_gamma(alphabet, max_norm: float) -> Iterator[tuple[Mat2, Word]]:
-    """All nonidentity even words over the alphabet with ||g|| < max_norm.
+def frontier_guard(count: int) -> None:
+    """Refuse a frontier level of more than FRONTIER_CAP elements; callers
+    check as the level grows, before storing it."""
+    if count > FRONTIER_CAP:
+        raise ResourceError(
+            f"a frontier level needs more than FRONTIER_CAP = {FRONTIER_CAP} elements")
 
-    Frobenius norm strictly increases under right-multiplication by a
-    generator pair, so the search tree is pruned exactly at the bound.
-    Deterministic depth-first order (lexicographic in the word).
+
+class GammaLevel(NamedTuple):
+    """The words of one length 2k in the det +1 frontier, in lexicographic order.
+
+    Column j of m holds the entries (a, b, c, d) of element j; parent[j]
+    is its row in the level before (row 0 of the identity at k = 1) and
+    block[j] = i * |A| + j' indexes the two-letter block (x, y) = (A[i], A[j'])
+    that extends it.
+    """
+
+    m: np.ndarray        # (4, n), int64 or Python-int objects
+    frob_sq: np.ndarray  # Frobenius norm squared, same dtype as m
+    parent: np.ndarray
+    block: np.ndarray
+
+
+def gamma_levels(alphabet, max_norm: float) -> Iterator[GammaLevel]:
+    """All nonidentity even words over the alphabet with ||g|| < max_norm,
+    one GammaLevel per word length 2, 4, 6, ...
+
+    Each level multiplies every element of the one before by every block
+    (x, y); the child is (u, b + y u; v, d + y v) with u = a + b x and
+    v = c + d x.  Frobenius norm strictly increases along the way, so the
+    pruning at the bound is exact, and it increases in x and in y, so a
+    parent whose child reaches the bound at (x, y) is dropped for every
+    larger y, and one reaching it at (x, a_min) for every larger x as
+    well.  Within a level, (parent, block) order is lexicographic order
+    of the words.
     """
     letters = Alphabet.of(alphabet).letters
-    blocks = [
-        (mat_mul(generator(x), generator(y)), (x, y)) for x in letters for y in letters
-    ]
     cap = max_norm * max_norm
+    if not cap < math.inf:
+        raise InputError(f"norm bound {max_norm} is not finite")
+    lim = math.ceil(cap)  # an integer f satisfies f < cap exactly when f < lim
+    # A child's entries and Frobenius^2 are sums of nonnegative products,
+    # each at most the child's Frobenius^2.  That is at most the parent's
+    # times the block's, and a block (1 y; x 1+xy) has Frobenius^2 at most
+    # a^4 + 4a^2 + 2 for a = a_max.  So int64 is exact for every child of a
+    # level whose Frobenius^2 stays at most `room`; past that the entries
+    # become Python ints.
+    a_max = letters[-1]
+    room = (2 ** 63 - 1) // (a_max ** 4 + 4 * a_max ** 2 + 2)
+    m, f = np.array([[1], [0], [0], [1]], np.int64), np.array([2])
+    while True:
+        if m.dtype != object and f.max() > room:
+            m = m.astype(object)
+        a, b, c, d = m
+        kids, size = [], 0
+        alive = np.arange(m.shape[1])
+        for i, x in enumerate(letters):
+            rows = alive
+            u, v = a[rows] + b[rows] * x, c[rows] + d[rows] * x
+            bb, dd = b[rows], d[rows]
+            step = 0
+            for j, y in enumerate(letters):
+                bb, dd, step = bb + (y - step) * u, dd + (y - step) * v, y
+                sq = u * u + bb * bb + v * v + dd * dd
+                fits = sq < lim
+                if not fits.all():
+                    rows, u, bb, v, dd, sq = (t[fits] for t in (rows, u, bb, v, dd, sq))
+                if j == 0:
+                    alive = rows
+                if not len(rows):
+                    break
+                size += len(rows)
+                frontier_guard(size)
+                kids.append((rows, i * len(letters) + j, (u, bb, v, dd), sq))
+            if not len(alive):
+                break
+        if not kids:
+            return
+        parent = np.concatenate([k[0] for k in kids])
+        # kids come block by block, each in parent order: a stable sort on
+        # the parent restores (parent, block) order
+        order = np.argsort(parent, kind="stable")
+        m = np.concatenate([k[2] for k in kids], axis=1)[:, order]
+        f = np.concatenate([k[3] for k in kids])[order]
+        yield GammaLevel(m, f, parent[order],
+                         np.concatenate([np.full(len(k[0]), k[1]) for k in kids])[order])
 
-    def rec(m: Mat2, w: Word) -> Iterator[tuple[Mat2, Word]]:
-        for blk, pair in blocks:
-            nm = mat_mul(m, blk)
-            if frobenius_sq(nm) < cap:
-                nw = w + pair
-                yield nm, nw
-                yield from rec(nm, nw)
 
-    yield from rec(IDENTITY, ())
+def level_words(alphabet, trail: Sequence[tuple[np.ndarray, np.ndarray]],
+                rows: np.ndarray) -> list[Word]:
+    """Words of the given rows of the last level of gamma_levels, read back
+    through the (parent, block) arrays of every level so far."""
+    letters = Alphabet.of(alphabet).letters
+    pairs = np.array([(x, y) for x in letters for y in letters])
+    out = np.empty((len(rows), 2 * len(trail)), dtype=pairs.dtype)
+    for k in range(len(trail) - 1, -1, -1):
+        parent, block = trail[k]
+        out[:, 2 * k: 2 * k + 2] = pairs[block[rows]]
+        rows = parent[rows]
+    return list(map(tuple, out.tolist()))
+
+
+def spectral_arrays(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda_plus, v_plus x, v_plus y) for each column of a (4, n) stack
+    of det +1 elements, by the float operations of `spectral`, so every
+    value equals the scalar one bit for bit."""
+    t = (m[0] + m[3]).astype(np.float64)
+    lam = 0.5 * (t + np.sqrt(np.maximum(t * t - 4.0, 0.0)))
+    for _ in range(3):
+        lam = t - 1.0 / lam
+    vx, vy = m[1].astype(np.float64), lam - m[0].astype(np.float64)
+    n = hypot_arrays(vx, vy)
+    return lam, vx / n, vy / n
+
+
+def hypot_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot elementwise.  np.hypot is faster but differs from it in
+    the last bit on about 0.1% of inputs.  Chunks bound the Python floats
+    alive at once."""
+    chunk = 1 << 16
+    out = np.empty(len(x))
+    for i in range(0, len(x), chunk):
+        out[i: i + chunk] = list(map(math.hypot, x[i: i + chunk].tolist(),
+                                     y[i: i + chunk].tolist()))
+    return out

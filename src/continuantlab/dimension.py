@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfcore import Alphabet, iter_gamma, spectral, norm_frobenius
+from .cfcore import Alphabet, gamma_levels, spectral_arrays
 from .errors import ConstructionError, InputError, NumericalError
 
 HULL_TOL = 1e-15
@@ -65,11 +65,13 @@ def _chebyshev_nodes(n: int, lo: float, hi: float) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
 
 
-def _barycentric_weights(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    w = np.ones(n)
-    for j in range(n):
-        w[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
+def _barycentric_weights(n: int) -> np.ndarray:
+    """Barycentric weights of n second-kind Chebyshev points in closed form:
+    (-1)^j, halved at both ends (Berrut-Trefethen, SIAM Review 2004).  The
+    interpolant is invariant under a common factor, and the product form
+    1/prod(x_j - x_k) underflows on narrow hulls or at many nodes."""
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
     return w
 
 
@@ -83,7 +85,7 @@ def discretize(alphabet, s: float, nodes: int = 64) -> TransferDiscretization:
         raise InputError(
             f"alphabet {alphabet} has a degenerate (single-point) limit set")
     x = _chebyshev_nodes(nodes, lo, hi)
-    w = _barycentric_weights(x)
+    w = _barycentric_weights(nodes)
     L = np.zeros((nodes, nodes))
     for a in alphabet:
         y = 1.0 / (a + x)                  # images stay inside [lo, hi]
@@ -222,14 +224,14 @@ def sector_count_check(alphabet, N: float, interval: tuple[float, float],
     if N < 100:
         raise InputError("N too small for a meaningful fit")
     norms = [N ** (0.5 + 0.5 * i / (grid_points - 1)) for i in range(grid_points)]
-    counts = [0] * grid_points
-    for m, _w in iter_gamma(alphabet, norms[-1]):
-        pt = spectral(m).point
-        if lo <= pt <= hi:
-            nrm = norm_frobenius(m)
-            for i, bound in enumerate(norms):
-                if nrm < bound:
-                    counts[i] += 1
+    counts = np.zeros(grid_points, dtype=np.int64)
+    for level in gamma_levels(alphabet, norms[-1]):
+        _, px, py = spectral_arrays(level.m)
+        pt = px / py  # spectral(m).point
+        # norm_frobenius(m) < bound, in floats
+        nrm = np.sqrt(level.frob_sq[(lo <= pt) & (pt <= hi)].astype(np.float64))
+        counts += [np.count_nonzero(nrm < bound) for bound in norms]
+    counts = counts.tolist()
     slope = None
     if all(c > 0 for c in counts):
         slope = float(np.polyfit(np.log(norms), np.log(counts), 1)[0])

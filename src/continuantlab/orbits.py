@@ -51,7 +51,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cfcore import Alphabet, Word
+from .cfcore import Alphabet, Word, frontier_guard
 from .errors import InputError
 
 SPELLINGS = ("any", "canonical", "even")
@@ -173,7 +173,7 @@ def _fibers(alphabet: Alphabet, N: int, spellings: str,
     and the parity of k.  A parent that overflows letter a overflows
     every larger letter, so each letter extends only the survivors of the
     one before.  One chunk per leading letter bounds memory by the
-    largest subtree.
+    largest subtree, and frontier_guard caps each level.
     """
     letters = alphabet.letters
     lset = frozenset(letters)
@@ -208,6 +208,7 @@ def _fibers(alphabet: Alphabet, N: int, spellings: str,
         while frontier:
             depth += 1
             grown: dict[int, tuple[list, list]] = {}
+            size = 0
             for prev, (qp, q) in frontier.items():
                 nq, step = qp, 0
                 for a in letters:
@@ -218,6 +219,8 @@ def _fibers(alphabet: Alphabet, N: int, spellings: str,
                         q, nq = q[fits], nq[fits]
                     if not len(nq):
                         break
+                    size += len(nq)
+                    frontier_guard(size)
                     qps, qs = grown.setdefault(a, ([], []))
                     qps.append(q)
                     qs.append(nq)

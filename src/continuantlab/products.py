@@ -33,8 +33,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .cfcore import (Alphabet, Mat2, Word, frobenius_sq, iter_gamma, mat_mul,
-                     norm_frobenius, spectral)
+import numpy as np
+
+from .cfcore import (Alphabet, Mat2, Word, frobenius_sq, gamma_levels, hypot_arrays,
+                     level_words, mat_mul, norm_frobenius, spectral, spectral_arrays)
 from .errors import ConstructionError, InputError
 
 XI_MIN_M = 100.0
@@ -107,6 +109,13 @@ def _lambda_class_bounds(M: float) -> list[float]:
     return bounds
 
 
+def _lambda_classes(lam: np.ndarray, bounds: list[float]) -> np.ndarray:
+    """Class i of each eigenvalue in [bounds[-1], bounds[0]]: the window
+    [bounds[i+1], bounds[i]] holding it, the lower i on a shared edge."""
+    desc = np.array(bounds)
+    return np.maximum(np.searchsorted(-desc, -lam, side="left") - 1, 0)
+
+
 @dataclass
 class XiSet:
     """One pigeonholed factor: members share norm window, direction,
@@ -168,47 +177,50 @@ def build_xi(alphabet, M: float, x_target: Optional[float] = None) -> XiSet:
     _require_in_limit_set(alphabet, x_target)
     vx = _unit_direction(x_target)
     eta = 1.0 / math.log(M)
-    half2 = (M / 2.0) ** 2
+    half2 = math.ceil((M / 2.0) ** 2)  # integer f >= (M/2)^2 exactly when f >= half2
 
-    s1 = [(m, w) for m, w in iter_gamma(alphabet, M) if frobenius_sq(m) >= half2]
-    s2 = []
-    for m, w in s1:
-        sp = spectral(m)
-        if math.hypot(sp.v_plus[0] - vx[0], sp.v_plus[1] - vx[1]) < eta:
-            s2.append((m, w, sp.lambda_plus))
-    if not s2:
+    # per level: the S2 rows, their entries and eigenvalues; the (parent,
+    # block) trail spells the S4 words at the end
+    trail, s2 = [], []
+    s1_size = 0
+    for level in gamma_levels(alphabet, M):
+        trail.append((level.parent, level.block))
+        rows = np.flatnonzero(level.frob_sq >= half2)
+        s1_size += len(rows)
+        lam, px, py = spectral_arrays(level.m[:, rows])
+        near = hypot_arrays(px - vx[0], py - vx[1]) < eta
+        s2.append((rows[near], level.m[:, rows[near]], lam[near]))
+    lam = np.concatenate([level_lam for _, _, level_lam in s2])
+    if not len(lam):
         raise ConstructionError(
             f"direction window around {x_target} empty at M={M}")
 
     bounds = _lambda_class_bounds(M)
-    classes: dict[int, list] = {}
-    for m, w, lam in s2:
-        # highest class whose window [bounds[i+1], bounds[i]] holds lam
-        for i in range(len(bounds) - 1):
-            if bounds[i + 1] <= lam <= bounds[i]:
-                classes.setdefault(i, []).append((m, w, lam))
-                break
-        else:
-            raise ConstructionError(f"eigenvalue {lam} escaped [M/4, 4M] at M={M}")
-    best = max(sorted(classes), key=lambda i: len(classes[i]))  # ties: lowest i
-    s3 = classes[best]
+    escaped = (lam > bounds[0]) | (lam < bounds[-1])
+    if escaped.any():
+        raise ConstructionError(
+            f"eigenvalue {lam[escaped][0]} escaped [M/4, 4M] at M={M}")
+    cls = _lambda_classes(lam, bounds)
+    best = int(np.argmax(np.bincount(cls)))  # ties: lowest i
     L = bounds[best]
+    depth = np.repeat(np.arange(len(s2)), [len(r) for r, _, _ in s2])
+    in3 = cls == best
+    by_k = np.bincount(depth[in3])
+    best_depth = int(np.argmax(by_k))  # ties: smallest k
 
-    by_k: dict[int, list] = {}
-    for m, w, lam in s3:
-        by_k.setdefault(len(w), []).append((m, w, lam))
-    best_k = max(sorted(by_k), key=lambda k: len(by_k[k]))  # ties: smallest k
-    s4 = by_k[best_k]
-
+    # S4 is one level, already in lexicographic (DFS) order
+    rows, m, lam4 = s2[best_depth]
+    start = int(np.searchsorted(depth, best_depth))
+    keep = in3[start: start + len(rows)]
     xi = XiSet(
         alphabet=alphabet,
-        members=tuple(m for m, _, _ in s4),
-        words=tuple(w for _, w, _ in s4),
-        lambdas=tuple(lam for _, _, lam in s4),
-        L=L, M=float(M), k=best_k, x_target=x_target,
-        stage_sizes=(len(s1), len(s2), len(s3), len(s4)),
+        members=tuple(zip(*m[:, keep].tolist())),
+        words=tuple(level_words(alphabet, trail[: best_depth + 1], rows[keep])),
+        lambdas=tuple(lam4[keep].tolist()),
+        L=L, M=float(M), k=2 * (best_depth + 1), x_target=x_target,
+        stage_sizes=(s1_size, len(lam), int(in3.sum()), int(by_k[best_depth])),
         n_lambda_classes=len(bounds) - 1,
-        n_wordlength_classes=len(by_k),
+        n_wordlength_classes=int(np.count_nonzero(by_k)),
     )
     xi.validate()
     return xi

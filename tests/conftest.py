@@ -1,13 +1,22 @@
 import bisect
+import math
 import random
 from collections import Counter
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 import pytest
 
-from continuantlab.cfcore import Alphabet, cf_expand
+from continuantlab.cfcore import (IDENTITY, Alphabet, Mat2, Word, cf_expand,
+                                  frobenius_sq, generator, mat_mul,
+                                  norm_frobenius, spectral)
+from continuantlab.dimension import SectorReport
+from continuantlab.errors import ConstructionError, InputError
 from continuantlab.orbits import _walk
+from continuantlab.products import (XI_MIN_M, XiSet, _lambda_class_bounds,
+                                    _require_in_limit_set, _unit_direction,
+                                    default_target_point)
 from continuantlab.qmc import PointSet2D
 
 
@@ -139,6 +148,127 @@ def scan_star_discrepancy(ps) -> float:
     lt = np.searchsorted(arr, arr, side="left")
     best = max(best, float(np.max(arr - lt * inv)))
     return best
+
+
+def iter_gamma(alphabet, max_norm: float) -> Iterator[tuple[Mat2, Word]]:
+    """All nonidentity even words over the alphabet with ||g|| < max_norm.
+
+    Frobenius norm strictly increases under right-multiplication by a
+    generator pair, so the search tree is pruned exactly at the bound.
+    Deterministic depth-first order (lexicographic in the word).
+    """
+    letters = Alphabet.of(alphabet).letters
+    blocks = [
+        (mat_mul(generator(x), generator(y)), (x, y)) for x in letters for y in letters
+    ]
+    cap = max_norm * max_norm
+
+    def rec(m: Mat2, w: Word) -> Iterator[tuple[Mat2, Word]]:
+        for blk, pair in blocks:
+            nm = mat_mul(m, blk)
+            if frobenius_sq(nm) < cap:
+                nw = w + pair
+                yield nm, nw
+                yield from rec(nm, nw)
+
+    yield from rec(IDENTITY, ())
+
+
+def scalar_lambda_class(lam: float, bounds: list[float]) -> int:
+    """Highest class whose window [bounds[i+1], bounds[i]] holds lam (the
+    lowest i on a shared edge); -1 when lam escapes [bounds[-1], bounds[0]]."""
+    for i in range(len(bounds) - 1):
+        if bounds[i + 1] <= lam <= bounds[i]:
+            return i
+    return -1
+
+
+def oracle_build_xi(alphabet, M: float, x_target=None) -> XiSet:
+    """The four stages of products.build_xi as scalar loops over the
+    recursive walk: the oracle for the numpy frontier version."""
+    alphabet = Alphabet.of(alphabet)
+    if M < XI_MIN_M:
+        raise InputError(f"need M >= {XI_MIN_M:.0f}, got {M}")
+    if x_target is None:
+        x_target = default_target_point(alphabet)
+    _require_in_limit_set(alphabet, x_target)
+    vx = _unit_direction(x_target)
+    eta = 1.0 / math.log(M)
+    half2 = (M / 2.0) ** 2
+
+    s1 = [(m, w) for m, w in iter_gamma(alphabet, M) if frobenius_sq(m) >= half2]
+    s2 = []
+    for m, w in s1:
+        sp = spectral(m)
+        if math.hypot(sp.v_plus[0] - vx[0], sp.v_plus[1] - vx[1]) < eta:
+            s2.append((m, w, sp.lambda_plus))
+    if not s2:
+        raise ConstructionError(
+            f"direction window around {x_target} empty at M={M}")
+
+    bounds = _lambda_class_bounds(M)
+    classes: dict[int, list] = {}
+    for m, w, lam in s2:
+        i = scalar_lambda_class(lam, bounds)
+        if i < 0:
+            raise ConstructionError(f"eigenvalue {lam} escaped [M/4, 4M] at M={M}")
+        classes.setdefault(i, []).append((m, w, lam))
+    best = max(sorted(classes), key=lambda i: len(classes[i]))  # ties: lowest i
+    s3 = classes[best]
+    L = bounds[best]
+
+    by_k: dict[int, list] = {}
+    for m, w, lam in s3:
+        by_k.setdefault(len(w), []).append((m, w, lam))
+    best_k = max(sorted(by_k), key=lambda k: len(by_k[k]))  # ties: smallest k
+    s4 = by_k[best_k]
+
+    xi = XiSet(
+        alphabet=alphabet,
+        members=tuple(m for m, _, _ in s4),
+        words=tuple(w for _, w, _ in s4),
+        lambdas=tuple(lam for _, _, lam in s4),
+        L=L, M=float(M), k=best_k, x_target=x_target,
+        stage_sizes=(len(s1), len(s2), len(s3), len(s4)),
+        n_lambda_classes=len(bounds) - 1,
+        n_wordlength_classes=len(by_k),
+    )
+    xi.validate()
+    return xi
+
+
+def oracle_sector_count_check(alphabet, N: float, interval: tuple[float, float],
+                              grid_points: int = 5) -> SectorReport:
+    """dimension.sector_count_check as a scalar loop over the recursive walk."""
+    lo, hi = interval
+    if not (0.0 <= lo < hi <= 1.0):
+        raise InputError(f"interval must be within [0,1], got {interval}")
+    if N < 100:
+        raise InputError("N too small for a meaningful fit")
+    norms = [N ** (0.5 + 0.5 * i / (grid_points - 1)) for i in range(grid_points)]
+    counts = [0] * grid_points
+    for m, _w in iter_gamma(alphabet, norms[-1]):
+        pt = spectral(m).point
+        if lo <= pt <= hi:
+            nrm = norm_frobenius(m)
+            for i, bound in enumerate(norms):
+                if nrm < bound:
+                    counts[i] += 1
+    slope = None
+    if all(c > 0 for c in counts):
+        slope = float(np.polyfit(np.log(norms), np.log(counts), 1)[0])
+    return SectorReport((lo, hi), tuple(norms), tuple(counts), slope,
+                        empty=(counts[-1] == 0))
+
+
+def product_barycentric_weights(x: np.ndarray) -> np.ndarray:
+    """Barycentric weights 1/prod_{k != j}(x_j - x_k) for any nodes: the
+    oracle for the closed-form Chebyshev weights in dimension.discretize."""
+    n = len(x)
+    w = np.ones(n)
+    for j in range(n):
+        w[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
+    return w
 
 
 @pytest.fixture

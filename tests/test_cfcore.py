@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from continuantlab import cfcore
 from continuantlab.cfcore import (IDENTITY, Alphabet, cf_expand, cf_value,
-                                  even_normalize, frobenius_sq,
-                                  is_semigroup_matrix, iter_gamma,
-                                  lambda_expanding, mat_mul, mat_transpose,
+                                  even_normalize, frobenius_sq, gamma_levels,
+                                  is_semigroup_matrix, lambda_expanding,
+                                  level_words, mat_mul, mat_transpose,
                                   matrix_to_fraction, norm_frobenius, spectral,
-                                  trace, twin, word_to_matrix)
-from continuantlab.errors import InputError
-from conftest import random_word
+                                  spectral_arrays, trace, twin, word_to_matrix)
+from continuantlab.errors import InputError, ResourceError
+from conftest import iter_gamma, random_word
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -231,11 +234,89 @@ def test_norms_and_traces():
     assert trace((1, 1, 1, 2)) == 3
 
 
+def frontier(letters, max_norm):
+    """[(matrix, word)] per level of gamma_levels, with Python-int entries."""
+    trail, out = [], []
+    for level in gamma_levels(letters, max_norm):
+        trail.append((level.parent, level.block))
+        words = level_words(letters, trail, np.arange(len(level.parent)))
+        mats = list(zip(*level.m.tolist()))
+        assert [frobenius_sq(m) for m in mats] == level.frob_sq.tolist()
+        out.append(list(zip(mats, words)))
+    return out
+
+
 def test_iter_gamma_matches_even_words():
-    got = {m for m, w in iter_gamma((1, 2), 60.0)}
-    want = {word_to_matrix(w) for w in all_even_words((1, 2), 16)
-            if frobenius_sq(word_to_matrix(w)) < 3600}
+    got = {m for level in frontier((1, 2), 60.0) for m, w in level}
+    words = list(all_even_words((1, 2), 10))
+    # norms grow along extensions, so no word longer than 10 is below 60
+    assert all(frobenius_sq(word_to_matrix(w)) >= 3600 for w in words if len(w) == 10)
+    want = {word_to_matrix(w) for w in words if frobenius_sq(word_to_matrix(w)) < 3600}
     assert got == want
+    assert got == {m for m, w in iter_gamma((1, 2), 60.0)}
+
+
+@st.composite
+def frontier_cases(draw):
+    """An alphabet within {1..6} and a norm bound up to 3000 / |A|^2, so the
+    recursive oracle walks at most a few thousand elements."""
+    letters = draw(st.sets(st.integers(1, 6), min_size=1, max_size=4))
+    return letters, draw(st.floats(2.0, 3000.0 / len(letters) ** 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=frontier_cases())
+@example(case=({1, 2}, 60.0))
+@example(case=({1, 2}, 3000.0))
+@example(case=({1, 2, 3, 4, 5, 6}, 150.0))
+def test_frontier_matches_recursive_walk(case):
+    letters, max_norm = case
+    # level k is the oracle's words of length 2k, in the oracle's
+    # (lexicographic, depth-first) order, with word_to_matrix entries
+    want: dict[int, list] = {}
+    for m, w in iter_gamma(letters, max_norm):
+        want.setdefault(len(w) // 2, []).append((m, w))
+    got = frontier(letters, max_norm)
+    assert got == [want[k] for k in range(1, len(got) + 1)]
+    assert len(got) == len(want)
+    for level in got:
+        for m, w in level:
+            assert m == word_to_matrix(w)
+            assert type(m[0]) is int and type(w[0]) is int
+
+
+@pytest.mark.parametrize("letters, max_norm", [
+    ((1,), 1e30),            # Fibonacci matrices far past int64
+    ((1, 3000), 1e9),        # one block overflows int64 from a small parent
+    ((2, 40, 41), 2.5e6),
+])
+def test_frontier_switches_to_python_ints_before_int64_overflows(letters, max_norm):
+    got = [pair for level in frontier(letters, max_norm) for pair in level]
+    assert sorted(got) == sorted(iter_gamma(letters, max_norm))
+    dtypes = [level.m.dtype for level in gamma_levels(letters, max_norm)]
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+
+def test_spectral_arrays_match_spectral():
+    mats = [m for level in frontier((1, 2, 3), 400.0) for m, w in level]
+    lam, px, py = spectral_arrays(np.array(mats).T)
+    want = [spectral(m) for m in mats]
+    assert lam.tolist() == [s.lambda_plus for s in want]
+    assert px.tolist() == [s.v_plus[0] for s in want]
+    assert py.tolist() == [s.v_plus[1] for s in want]
+    assert (px / py).tolist() == [s.point for s in want]
+
+
+def test_frontier_cap_refuses_the_level_that_crosses_it(monkeypatch):
+    # {1,2} levels hold 4, 16, 64, 256 elements below norm 10^4
+    monkeypatch.setattr(cfcore, "FRONTIER_CAP", 64)
+    sizes = []
+    with pytest.raises(ResourceError, match="FRONTIER_CAP"):
+        for level in gamma_levels((1, 2), 1e4):
+            sizes.append(len(level.parent))
+    assert sizes == [4, 16, 64]
+    with pytest.raises(InputError):
+        next(gamma_levels((1, 2), 1e200))
 
 
 def test_alphabet_validation():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import continuantlab
-from continuantlab import qmc
+from continuantlab import cfcore, qmc
 from continuantlab.cli import run
 from continuantlab.modular import CLOSURE_Q_CAP
 from continuantlab.qmc import (EXACT_POINT_CAP, read_points_csv, star_discrepancy,
@@ -170,6 +170,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(qmc, "_exact_discrepancy", no_sweep)
     assert run(["qmc", "disc", "--in", str(big)]) == 3
+    # a frontier level over the element cap: fiber counts and the ensemble
+    monkeypatch.setattr(cfcore, "FRONTIER_CAP", 1000)
+    assert run(["exceptions", "--alphabet", "1,2,3,4", "--N", "3000"]) == 3
+    assert run(["ensemble", "--alphabet", "1,2", "--N", "100000000"]) == 3
     capsys.readouterr()
 
 

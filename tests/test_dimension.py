@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from continuantlab.dimension import (DimensionResult, dimension, discretize,
+from continuantlab import cfcore
+from continuantlab.dimension import (DimensionResult, _barycentric_weights,
+                                     _chebyshev_nodes, dimension, discretize,
                                      hensley_asymptotic, hull,
                                      leading_eigenvalue, pressure_eigenvalue,
                                      sector_count_check)
-from continuantlab.errors import InputError
+from continuantlab.errors import InputError, ResourceError
+from conftest import oracle_sector_count_check, product_barycentric_weights
 
 DELTA2 = 0.5312805062772051416244686  # 25-digit reference value
 
@@ -150,3 +155,53 @@ def test_sector_validation():
         sector_count_check((1, 2), 1000, (0.5, 0.2))
     with pytest.raises(InputError):
         sector_count_check((1, 2), 10, (0.0, 1.0))
+
+
+@st.composite
+def sector_cases(draw):
+    """An alphabet within {1..6}, N up to 3000 / |A|^2 + 100, a subinterval
+    of [0, 1] and a grid size: small enough for the recursive oracle."""
+    letters = tuple(sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4))))
+    N = draw(st.floats(100.0, 100.0 + 3000.0 / len(letters) ** 2))
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    return letters, N, (lo, hi), draw(st.integers(2, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sector_cases())
+@example(case=((1, 2), 3000.0, (0.3, 0.5), 5))
+@example(case=((1, 2), 2000.0, (0.9, 1.0), 5))
+@example(case=((1, 2, 3, 4, 5, 6), 150.0, (0.0, 1.0), 3))
+def test_sector_count_matches_scalar_oracle(case):
+    letters, N, interval, grid = case
+    assert sector_count_check(letters, N, interval, grid) == \
+        oracle_sector_count_check(letters, N, interval, grid)
+
+
+def test_sector_refuses_past_the_frontier_cap(monkeypatch):
+    monkeypatch.setattr(cfcore, "FRONTIER_CAP", 1000)
+    with pytest.raises(ResourceError):
+        sector_count_check((1, 2, 3, 4, 5), 1e9, (0.3, 0.5))
+
+
+def test_closed_form_barycentric_weights_match_product_form():
+    for letters in ((1, 2), (1, 3), (1, 2, 3, 4, 5)):
+        x = _chebyshev_nodes(64, *hull(letters))
+        ratio = _barycentric_weights(64) / product_barycentric_weights(x)
+        assert np.ptp(ratio) < 1e-12 * np.abs(ratio).max()
+
+
+@pytest.mark.parametrize("letters, nodes", [((1000, 1001), 64), ((100, 101), 128),
+                                            ((1, 2), 512)])
+def test_dimension_solves_where_product_weights_underflow(letters, nodes):
+    # the product weights 1/prod(x_j - x_k) are not finite here
+    x = _chebyshev_nodes(nodes, *hull(letters))
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(product_barycentric_weights(x)))
+    res = dimension(letters, nodes=nodes)
+    assert res.residual < 1e-12
+    if letters == (1, 2):
+        assert res.delta == pytest.approx(DELTA2, abs=1e-14)
+    if letters == (1000, 1001):
+        assert res.delta == pytest.approx(0.0501680, abs=1e-7)
+

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from continuantlab import cfcore
 from continuantlab.cfcore import Alphabet, cf_value
-from continuantlab.errors import InputError
+from continuantlab.errors import InputError, ResourceError
 from continuantlab.orbits import (SPELLINGS, MultiplicityTable,
                                   counts_at_thresholds, density_ratio,
                                   enumerate_orbit, exceptions,
@@ -233,3 +234,34 @@ def test_spellings_validation():
         multiplicity_table((1, 2), 100, spellings="bogus")
     with pytest.raises(InputError):
         multiplicity_table((1, 2), 100, representative="bogus")
+
+
+def max_fiber_level(letters, N):
+    """Most words of one length >= 2 and one leading letter with
+    continuant < N: the largest level of orbits._fibers."""
+    words = Counter()
+
+    def rec(first, k, qp, q):
+        for a in letters:
+            nq = qp + a * q
+            if nq >= N:
+                break
+            words[first, k + 1] += 1
+            rec(first, k + 1, q, nq)
+
+    for a in letters:
+        rec(a, 1, 1, a)
+    return max(words.values())
+
+
+def test_fiber_frontier_cap(monkeypatch):
+    # the cap admits a level of exactly FRONTIER_CAP words, refuses one more
+    peak = max_fiber_level((1, 2, 3, 4), 1000)
+    want = multiplicity_table((1, 2, 3, 4), 1000).counts
+    monkeypatch.setattr(cfcore, "FRONTIER_CAP", peak)
+    assert multiplicity_table((1, 2, 3, 4), 1000).counts == want
+    monkeypatch.setattr(cfcore, "FRONTIER_CAP", peak - 1)
+    with pytest.raises(ResourceError, match="FRONTIER_CAP"):
+        multiplicity_table((1, 2, 3, 4), 1000)
+    with pytest.raises(ResourceError):
+        counts_at_thresholds((1, 2, 3, 4), [100, 1000])

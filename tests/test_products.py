@@ -1,16 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from continuantlab import cfcore, products
 from continuantlab.cfcore import (mat_mul, norm_frobenius, spectral, trace,
                                   word_to_matrix)
-from continuantlab.errors import ConstructionError, InputError
+from continuantlab.errors import ConstructionError, InputError, ResourceError
 from continuantlab.orbits import counts_at_thresholds
-from continuantlab.products import (build_omega, build_xi, check_products,
+from continuantlab.products import (_lambda_class_bounds, _lambda_classes,
+                                    build_omega, build_xi, check_products,
                                     default_target_point, mult_defect,
                                     omega_cardinality_report, vplus_drift)
-from conftest import random_word
+from conftest import oracle_build_xi, random_word, scalar_lambda_class
 
 DELTA2 = 0.5312805062772051
 
@@ -120,6 +125,70 @@ def test_build_xi_single_letter_degenerate():
     assert len(xi) == 1
     with pytest.raises(ConstructionError):
         build_xi((1,), 300.0)
+
+
+def outcome(build, *args):
+    """The built XiSet (compared field by field), or the error type raised."""
+    try:
+        xi = build(*args)
+    except (ConstructionError, InputError) as e:
+        return type(e)
+    m, w = xi.members[0], xi.words[0]
+    assert type(m[0]) is int and type(w[0]) is int
+    assert type(xi.lambdas[0]) is float
+    assert all(type(n) is int for n in xi.stage_sizes)
+    return xi
+
+
+@st.composite
+def xi_cases(draw):
+    """An alphabet within {1..6} and a scale M in [100, 3000 / |A|^2 + 100],
+    small enough for the recursive oracle."""
+    letters = draw(st.sets(st.integers(1, 6), min_size=1, max_size=4))
+    return tuple(sorted(letters)), draw(st.floats(100.0, 100.0 + 3000.0 / len(letters) ** 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=xi_cases())
+@example(case=((1, 2), 5000.0))
+@example(case=((1, 2, 3, 4, 5, 6), 150.0))
+@example(case=((1,), 150.0))
+@example(case=((1,), 300.0))
+@example(case=((1, 4), 226.0))  # two word lengths tie in S3; the smaller k wins
+@example(case=((1, 5), 331.0))
+def test_build_xi_matches_scalar_oracle(case):
+    letters, M = case
+    assert outcome(build_xi, letters, M) == outcome(oracle_build_xi, letters, M)
+
+
+@pytest.mark.parametrize("letters, N", [((1, 2), 10 ** 10), ((1, 2, 3, 4, 5), 10 ** 5)])
+def test_build_omega_matches_scalar_oracle(monkeypatch, letters, N):
+    ens = build_omega(letters, N)
+    monkeypatch.setattr(products, "build_xi", oracle_build_xi)
+    want = build_omega(letters, N)
+    assert ens == want  # every field of every factor
+
+
+def test_lambda_classes_on_window_edges():
+    # an eigenvalue on a shared edge goes to the lower class, as in the
+    # scalar scan; the edges themselves and their float neighbours
+    for M in (100.0, 1234.5, 1e5):
+        bounds = _lambda_class_bounds(M)
+        edges = np.array(bounds)
+        lam = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                              0.5 * (edges[1:] + edges[:-1])])
+        lam = lam[(lam >= edges[-1]) & (lam <= edges[0])]
+        assert _lambda_classes(lam, bounds).tolist() == \
+            [scalar_lambda_class(x, bounds) for x in lam.tolist()]
+
+
+def test_build_xi_and_omega_refuse_past_the_frontier_cap(monkeypatch):
+    monkeypatch.setattr(cfcore, "FRONTIER_CAP", 1000)
+    with pytest.raises(ResourceError):
+        build_xi((1, 2), 5000.0)
+    with pytest.raises(ResourceError):
+        build_omega((1, 2), 10 ** 10)
+    assert len(build_xi((1, 2), 1000.0)) > 0  # its largest level holds 638
 
 
 def test_build_omega_scale_recursion():
