@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 from .cfcore import (Alphabet, SpectralData, cf_expand, cf_value,
                      even_normalize, matrix_to_fraction, norm_frobenius,
                      spectral, trace, word_to_matrix)
-from .dimension import dimension, hensley_asymptotic, hull
+from .dimension import hensley_asymptotic, hull  # binds the module continuantlab.dimension
 from .errors import (ConstructionError, InputError, NumericalError,
                      ResourceError)
 from .modular import (closure_mod_q, is_admissible, nu_q,

@@ -18,9 +18,10 @@ exercised here.  (A periodic-orbit determinant would be equally
 accurate; collocation is simpler.)
 
 The hull is the smallest interval [lo, hi] with 1/(a_max + hi) = lo and
-1/(a_min + lo) = hi, found by iterating the interval map; its endpoints
-are the fixed points of the alternating words built from the extreme
-letters (for {1,2}: [(sqrt(3)-1)/2, sqrt(3)-1]).
+1/(a_min + lo) = hi, in closed form; its endpoints are the fixed points
+of the alternating words built from the extreme letters (for {1,2}:
+[(sqrt(3)-1)/2, sqrt(3)-1]).  The pressure P(s) = log lam(s) is convex
+and nearly linear, so a bracketed secant on P finds its root.
 """
 
 from __future__ import annotations
@@ -33,21 +34,18 @@ import numpy as np
 from .cfcore import Alphabet, gamma_levels, spectral_arrays
 from .errors import ConstructionError, InputError, NumericalError
 
-HULL_TOL = 1e-15
-HULL_MAX_ITER = 100
+POWER_TOL = 1e-14          # relative change of the power-iteration eigenvalue
+POWER_MAX_ITER = 100000
 
 
 def hull(alphabet) -> tuple[float, float]:
-    """Fixed-point bracket of the limit set under x -> 1/(a + x)."""
+    """Fixed-point bracket of the limit set under x -> 1/(a + x): with
+    a = a_min and b = a_max, hi = 1/(a + 1/(b + hi)) is the positive root
+    of a hi^2 + ab hi - b = 0, written without cancellation."""
     alphabet = Alphabet.of(alphabet)
-    amin, amax = alphabet.a_min, alphabet.a_max
-    lo, hi = 0.0, 1.0
-    for _ in range(HULL_MAX_ITER):
-        nlo, nhi = 1.0 / (amax + hi), 1.0 / (amin + lo)
-        if abs(nlo - lo) < HULL_TOL and abs(nhi - hi) < HULL_TOL:
-            break
-        lo, hi = nlo, nhi
-    return lo, hi
+    a, b = alphabet.a_min, alphabet.a_max
+    hi = 2 * b / (a * b + math.sqrt((a * b) ** 2 + 4 * a * b))
+    return 1.0 / (b + hi), hi
 
 
 @dataclass
@@ -105,25 +103,24 @@ def discretize(alphabet, s: float, nodes: int = 64) -> TransferDiscretization:
     return TransferDiscretization(alphabet, s, x, L, (lo, hi))
 
 
-def leading_eigenvalue(disc: TransferDiscretization, tol: float = 1e-14,
-                       max_iter: int = 100000) -> float:
+def leading_eigenvalue(disc: TransferDiscretization) -> float:
     """Perron eigenvalue of the collocation matrix by power iteration."""
     L = disc.matrix
     v = np.ones(L.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for it in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = L @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise NumericalError("power iteration hit the zero vector")
         v = w / nw
         new = float(v @ (L @ v))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
+        if abs(new - lam) <= POWER_TOL * max(1.0, abs(new)):
             return new
         lam = new
     raise NumericalError(
-        f"power iteration did not converge in {max_iter} iterations "
+        f"power iteration did not converge in {POWER_MAX_ITER} iterations "
         f"(s={disc.s}, last eigenvalue estimate {lam})")
 
 
@@ -149,11 +146,13 @@ class DimensionResult:
 
 
 def dimension(alphabet, tol: float = 1e-12, nodes: int = 64) -> DimensionResult:
-    """The zero of lam(s) - 1 on (0, 1), by bisection then secant.
+    """The zero of P(s) = log lam(s) on (0, 1), by a bracketed secant.
 
     A single-letter alphabet has a one-point limit set and dimension
     exactly 0.  For everything else lam(0) = |alphabet| >= 2 and
-    lam(1) < 1 (checked at runtime), so the root is bracketed.
+    lam(1) < 1 (checked at runtime), so the root is bracketed.  Each
+    evaluation moves one end of the bracket, a step leaving it becomes
+    the midpoint, and the loop ends on a step below tol or on P = 0.
     """
     alphabet = Alphabet.of(alphabet)
     if tol < 1e-13:
@@ -163,34 +162,32 @@ def dimension(alphabet, tol: float = 1e-12, nodes: int = 64) -> DimensionResult:
 
     history: list[tuple[float, float]] = []
 
-    def g(s: float) -> float:
+    def P(s: float) -> float:
         lam = pressure_eigenvalue(alphabet, s, nodes)
         history.append((s, lam))
-        return lam - 1.0
+        return math.log(lam)
 
     lo, hi = 1e-9, 1.0
-    glo, ghi = g(lo), g(hi)
-    if glo <= 0 or ghi >= 0:
+    s0, p0, s1, p1 = lo, P(lo), hi, P(hi)
+    if p0 <= 0 or p1 >= 0:
         raise ConstructionError(
-            f"root not bracketed on (0,1): lam(0+)={glo + 1}, lam(1)={ghi + 1}")
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm > 0:
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    s0, f0, s1, f1 = lo, glo, hi, ghi
+            f"root not bracketed on (0,1): lam(0+)={history[0][1]}, lam(1)={history[1][1]}")
     for _ in range(80):
-        s2 = s1 - f1 * (s1 - s0) / (f1 - f0)
-        f2 = g(s2)
-        s0, f0, s1, f1 = s1, f1, s2, f2
-        if abs(s1 - s0) < tol:
+        s = s1 - p1 * (s1 - s0) / (p1 - p0)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        p = P(s)
+        if p > 0:
+            lo = s
+        else:
+            hi = s
+        s0, p0, s1, p1 = s1, p1, s, p
+        if p == 0 or abs(s1 - s0) < tol:
             break
     else:
         raise NumericalError(f"secant refinement stalled near s={s1}")
-    return DimensionResult(float(s1), float(f1 + 1.0), nodes, abs(float(f1)),
-                           tuple(history))
+    lam = history[-1][1]
+    return DimensionResult(s1, lam, nodes, abs(lam - 1.0), tuple(history))
 
 
 def hensley_asymptotic(A: int) -> float:
@@ -223,6 +220,8 @@ def sector_count_check(alphabet, N: float, interval: tuple[float, float],
         raise InputError(f"interval must be within [0,1], got {interval}")
     if N < 100:
         raise InputError("N too small for a meaningful fit")
+    if grid_points < 2:
+        raise InputError(f"need at least 2 grid points for a fit, got {grid_points}")
     norms = [N ** (0.5 + 0.5 * i / (grid_points - 1)) for i in range(grid_points)]
     counts = np.zeros(grid_points, dtype=np.int64)
     for level in gamma_levels(alphabet, norms[-1]):

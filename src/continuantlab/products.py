@@ -137,21 +137,30 @@ class XiSet:
         return len(self.members)
 
     def validate(self) -> None:
-        """Assert every construction invariant member-wise."""
+        """Assert every construction invariant on all members at once."""
         if not 0.25 < self.L / self.M < 4.0:
             raise ConstructionError(f"L/M = {self.L / self.M} outside (1/4, 4)")
         vx = _unit_direction(self.x_target)
         eta = 1.0 / math.log(self.M)
         lam_lo = self.L * (1.0 - 1.0 / math.log(self.L))
-        for m, w, lam in zip(self.members, self.words, self.lambdas):
-            nrm = norm_frobenius(m)
-            if not self.M / 2 <= nrm < self.M:
-                raise ConstructionError(f"norm {nrm} outside [M/2, M)")
-            sp = spectral(m)
-            if math.hypot(sp.v_plus[0] - vx[0], sp.v_plus[1] - vx[1]) >= eta:
-                raise ConstructionError("member direction outside the window")
-            if not lam_lo <= lam <= self.L:
-                raise ConstructionError(f"lambda {lam} outside [{lam_lo}, {self.L}]")
+        m = np.array(self.members, dtype=object).reshape(-1, 4).T
+        if m.size and np.abs(m).max() < 2 ** 30:  # four squares stay below 2^62
+            m = m.astype(np.int64)
+        # norm_frobenius: the exact Frobenius^2, rounded once, then sqrt
+        nrm = np.sqrt((m * m).sum(axis=0).astype(np.float64))
+        out = ~((self.M / 2 <= nrm) & (nrm < self.M))
+        if out.any():
+            raise ConstructionError(f"norm {nrm[out][0]} outside [M/2, M)")
+        if np.any(m[0] * m[3] - m[1] * m[2] != 1) or np.any(m[0] + m[3] <= 2):
+            raise InputError("members must be det +1 elements of trace >= 3")
+        _, px, py = spectral_arrays(m)
+        if np.any(hypot_arrays(px - vx[0], py - vx[1]) >= eta):
+            raise ConstructionError("member direction outside the window")
+        lam = np.array(self.lambdas, dtype=np.float64)
+        out = ~((lam_lo <= lam) & (lam <= self.L))
+        if out.any():
+            raise ConstructionError(f"lambda {lam[out][0]} outside [{lam_lo}, {self.L}]")
+        for w in self.words:
             if len(w) != self.k:
                 raise ConstructionError(f"wordlength {len(w)} != {self.k}")
         s1, s2, s3, s4 = self.stage_sizes

@@ -11,8 +11,9 @@ import pytest
 from continuantlab.cfcore import (IDENTITY, Alphabet, Mat2, Word, cf_expand,
                                   frobenius_sq, generator, mat_mul,
                                   norm_frobenius, spectral)
-from continuantlab.dimension import SectorReport
-from continuantlab.errors import ConstructionError, InputError
+from continuantlab.dimension import (DimensionResult, SectorReport,
+                                     pressure_eigenvalue)
+from continuantlab.errors import ConstructionError, InputError, NumericalError
 from continuantlab.orbits import _walk
 from continuantlab.products import (XI_MIN_M, XiSet, _lambda_class_bounds,
                                     _require_in_limit_set, _unit_direction,
@@ -259,6 +260,48 @@ def oracle_sector_count_check(alphabet, N: float, interval: tuple[float, float],
         slope = float(np.polyfit(np.log(norms), np.log(counts), 1)[0])
     return SectorReport((lo, hi), tuple(norms), tuple(counts), slope,
                         empty=(counts[-1] == 0))
+
+
+def oracle_dimension(alphabet, tol: float = 1e-12, nodes: int = 64) -> DimensionResult:
+    """The zero of lam(s) - 1 on (0, 1), by bisection then secant: the
+    two-phase oracle for the bracketed secant on log lam(s) in
+    dimension.dimension."""
+    alphabet = Alphabet.of(alphabet)
+    if tol < 1e-13:
+        raise InputError(f"tol {tol} below the 1e-13 double-precision floor")
+    if len(alphabet) == 1:
+        return DimensionResult(0.0, float(len(alphabet)), 0, 0.0, ())
+
+    history: list[tuple[float, float]] = []
+
+    def g(s: float) -> float:
+        lam = pressure_eigenvalue(alphabet, s, nodes)
+        history.append((s, lam))
+        return lam - 1.0
+
+    lo, hi = 1e-9, 1.0
+    glo, ghi = g(lo), g(hi)
+    if glo <= 0 or ghi >= 0:
+        raise ConstructionError(
+            f"root not bracketed on (0,1): lam(0+)={glo + 1}, lam(1)={ghi + 1}")
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm > 0:
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+    s0, f0, s1, f1 = lo, glo, hi, ghi
+    for _ in range(80):
+        s2 = s1 - f1 * (s1 - s0) / (f1 - f0)
+        f2 = g(s2)
+        s0, f0, s1, f1 = s1, f1, s2, f2
+        if abs(s1 - s0) < tol:
+            break
+    else:
+        raise NumericalError(f"secant refinement stalled near s={s1}")
+    return DimensionResult(float(s1), float(f1 + 1.0), nodes, abs(float(f1)),
+                           tuple(history))
 
 
 def product_barycentric_weights(x: np.ndarray) -> np.ndarray:

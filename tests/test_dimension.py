@@ -6,13 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuantlab import cfcore
+from continuantlab import dimension as dimension_module
 from continuantlab.dimension import (DimensionResult, _barycentric_weights,
                                      _chebyshev_nodes, dimension, discretize,
                                      hensley_asymptotic, hull,
                                      leading_eigenvalue, pressure_eigenvalue,
                                      sector_count_check)
-from continuantlab.errors import InputError, ResourceError
-from conftest import oracle_sector_count_check, product_barycentric_weights
+from continuantlab.errors import ConstructionError, InputError, ResourceError
+from conftest import (oracle_dimension, oracle_sector_count_check,
+                      product_barycentric_weights)
 
 DELTA2 = 0.5312805062772051416244686  # 25-digit reference value
 
@@ -29,6 +31,14 @@ def test_hull_closed_forms():
     lo, hi = hull((1, 2))
     assert hi == pytest.approx(math.sqrt(3) - 1, abs=1e-14)
     assert lo == pytest.approx((math.sqrt(3) - 1) / 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("letters", [(1,), (2,), (7,), (1, 2), (1000, 1001),
+                                     (1, 10 ** 6)])
+def test_hull_closed_form_is_the_fixed_point(letters):
+    lo, hi = hull(letters)
+    assert lo == 1 / (max(letters) + hi)
+    assert abs(1 / (min(letters) + lo) - hi) <= 2 * math.ulp(hi)
 
 
 def test_hull_contains_branch_images():
@@ -96,6 +106,33 @@ def test_dimension_residual_and_history():
     assert len(res.history) > 5
 
 
+def test_dimension_evaluates_through_the_module_globals(monkeypatch):
+    calls = {"discretize": 0, "leading_eigenvalue": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(dimension_module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dimension_module, name, counted)
+    res = dimension((1, 3))
+    assert calls == {"discretize": len(res.history), "leading_eigenvalue": len(res.history)}
+
+
+def test_dimension_root_not_bracketed(monkeypatch):
+    monkeypatch.setattr(dimension_module, "pressure_eigenvalue", lambda *args: 0.5)
+    with pytest.raises(ConstructionError):
+        dimension((1, 2))
+
+
+def test_dimension_steps_stay_inside_the_bracket(monkeypatch):
+    # P(s) = exp(-40 s) - 1/2 flattens out past its root log(2)/40, so a plain
+    # secant through two points there jumps far outside (0, 1)
+    monkeypatch.setattr(dimension_module, "pressure_eigenvalue",
+                        lambda alphabet, s, nodes: math.exp(math.exp(-40 * s) - 0.5))
+    res = dimension((1, 2))
+    assert all(1e-9 <= s <= 1 for s, _ in res.history)
+    assert res.delta == pytest.approx(math.log(2) / 40, abs=1e-12)
+
+
 def test_tol_floor_rejected():
     with pytest.raises(InputError):
         dimension((1, 2), tol=1e-14)
@@ -155,6 +192,15 @@ def test_sector_validation():
         sector_count_check((1, 2), 1000, (0.5, 0.2))
     with pytest.raises(InputError):
         sector_count_check((1, 2), 10, (0.0, 1.0))
+    for grid_points in (1, 0):
+        with pytest.raises(InputError):
+            sector_count_check((1, 2), 1000, (0.0, 1.0), grid_points=grid_points)
+
+
+def test_dimension_module_is_the_package_attribute():
+    import continuantlab.dimension as D
+    assert callable(D.dimension) and callable(D.sector_count_check)
+    assert D is dimension_module
 
 
 @st.composite
@@ -205,3 +251,27 @@ def test_dimension_solves_where_product_weights_underflow(letters, nodes):
     if letters == (1000, 1001):
         assert res.delta == pytest.approx(0.0501680, abs=1e-7)
 
+
+@settings(max_examples=25, deadline=None)
+@given(letters=st.sets(st.integers(1, 60), min_size=2, max_size=6).map(sorted).map(tuple),
+       nodes=st.sampled_from((32, 64)))
+@example(letters=(1, 2), nodes=64)
+@example(letters=(59, 60), nodes=32)
+def test_dimension_matches_bisection_secant_oracle(letters, nodes):
+    tol = 1e-12
+    res = dimension(letters, tol=tol, nodes=nodes)
+    assert abs(res.delta - oracle_dimension(letters, tol=tol, nodes=nodes).delta) <= 2 * tol
+    assert res.residual < 1e-12
+    assert res.eigenvalue_at_delta == res.history[-1][1]
+    assert res.delta == res.history[-1][0]
+    lam_below = pressure_eigenvalue(letters, res.delta - 1e-9, nodes)
+    lam_above = pressure_eigenvalue(letters, res.delta + 1e-9, nodes)
+    assert lam_below > 1 > lam_above
+
+
+@pytest.mark.parametrize("letters", [(1, 2), (1, 3), (2, 4, 6, 8, 10), tuple(range(1, 6)),
+                                     tuple(range(1, 51)), tuple(range(1, 201))])
+def test_dimension_evaluation_count(letters):
+    # the secant on log lam needs 7-8 eigenvalue solves here; bisection to
+    # width 1e-4 before a secant needed 19
+    assert len(dimension(letters, nodes=64).history) <= 10

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,15 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuantlab import cfcore, products
-from continuantlab.cfcore import (mat_mul, norm_frobenius, spectral, trace,
-                                  word_to_matrix)
+from continuantlab.cfcore import (frobenius_sq, mat_mul, norm_frobenius,
+                                  spectral, trace, word_to_matrix)
 from continuantlab.errors import ConstructionError, InputError, ResourceError
 from continuantlab.orbits import counts_at_thresholds
 from continuantlab.products import (_lambda_class_bounds, _lambda_classes,
                                     build_omega, build_xi, check_products,
                                     default_target_point, mult_defect,
                                     omega_cardinality_report, vplus_drift)
-from conftest import oracle_build_xi, random_word, scalar_lambda_class
+from conftest import (iter_gamma, oracle_build_xi, random_word,
+                      scalar_lambda_class)
 
 DELTA2 = 0.5312805062772051
 
@@ -110,6 +112,59 @@ def test_build_xi_invariants():
     assert s3 * xi.n_lambda_classes >= s2
     assert s4 * xi.n_wordlength_classes >= s3
     assert 0.25 < xi.L / xi.M < 4.0
+
+
+def off_direction_member(xi):
+    """A det +1 element in the norm window of xi whose expanding direction
+    lies outside its direction window."""
+    vx = products._unit_direction(xi.x_target)
+    for m, _w in iter_gamma(xi.alphabet, xi.M):
+        v = spectral(m).v_plus
+        if (frobenius_sq(m) >= (xi.M / 2) ** 2
+                and math.hypot(v[0] - vx[0], v[1] - vx[1]) >= 1 / math.log(xi.M)):
+            return m
+    raise AssertionError("no off-direction element")
+
+
+def heaviest(xi):
+    """The member of largest norm: lowering its d entry by one breaks det +1
+    but keeps it inside the norm window."""
+    return max(xi.members, key=frobenius_sq)
+
+
+@pytest.mark.parametrize("corrupt, error, message", [
+    pytest.param(lambda xi: {"L": 5 * xi.M}, ConstructionError, "L/M", id="L/M"),
+    pytest.param(lambda xi: {"members": (mat_mul(xi.members[0], xi.members[0]),) + xi.members[1:]},
+                 ConstructionError, "norm .* outside", id="norm"),
+    pytest.param(lambda xi: {"members": (heaviest(xi)[:3] + (heaviest(xi)[3] - 1,),)
+                             + xi.members[1:]}, InputError, "det", id="det"),
+    pytest.param(lambda xi: {"members": xi.members[:-1] + (off_direction_member(xi),)},
+                 ConstructionError, "direction outside", id="direction"),
+    pytest.param(lambda xi: {"lambdas": xi.lambdas[:-1] + (2 * xi.L,)},
+                 ConstructionError, "lambda .* outside", id="lambda"),
+    pytest.param(lambda xi: {"words": xi.words[:-1] + (xi.words[-1] + (1, 1),)},
+                 ConstructionError, "wordlength", id="wordlength"),
+    pytest.param(lambda xi: {"n_lambda_classes": 0}, ConstructionError, "lambda pigeonhole",
+                 id="lambda-pigeonhole"),
+    pytest.param(lambda xi: {"n_wordlength_classes": 0}, ConstructionError,
+                 "wordlength pigeonhole", id="wordlength-pigeonhole"),
+])
+def test_validate_refuses_each_broken_invariant(corrupt, error, message):
+    xi = build_xi((1, 2), 5000.0)
+    xi.validate()
+    with pytest.raises(error, match=message):
+        dataclasses.replace(xi, **corrupt(xi)).validate()
+
+
+@pytest.mark.parametrize("length", [50, 100])
+def test_validate_on_entries_past_int64(length):
+    # word (1,)*50 has entries above 2^30, so Frobenius^2 overflows int64;
+    # (1,)*100 has entries above 2^63
+    m = word_to_matrix((1,) * length)
+    xi = build_xi((1,), 1.5 * norm_frobenius(m))
+    assert xi.members == (m,)
+    # the norm sits exactly on the lower edge M/2 of the window
+    dataclasses.replace(xi, M=2 * norm_frobenius(m)).validate()
 
 
 def test_build_xi_input_validation():
