@@ -44,11 +44,11 @@ Word = tuple[int, ...]
 IDENTITY: Mat2 = (1, 0, 0, 1)
 
 # Most elements one level of a numpy frontier may hold: a level of this
-# module's det +1 semigroup walk, or of one leading-letter chunk of the
-# continuant pairs in orbits._fibers.  Levels grow geometrically, so this
-# also bounds the time and memory a refused request costs.  The largest
-# legitimate level holds 2 013 852 elements ({1..5} at N = 2*10^4 in
-# orbits._fibers), about half the cap.
+# module's det +1 semigroup walk, or of one leading-letter chunk of
+# orbits._blocks, which serves both fiber counts and orbit points.  Levels
+# grow geometrically, so this also bounds the time and memory a refused
+# request costs.  The largest legitimate level holds 2 013 852 elements
+# ({1..5} at N = 2*10^4 in the fiber counts), about half the cap.
 FRONTIER_CAP = 2 ** 22
 
 
@@ -260,11 +260,6 @@ def spectral(m: Mat2) -> SpectralData:
     n2 = math.hypot(wx, wy)
     v_minus = (wx / n2, wy / n2)
     return SpectralData(lam, v_plus, v_minus, v_plus[0] / v_plus[1])
-
-
-def vplus_distance(m: Mat2, n: Mat2) -> float:
-    vm, vn = spectral(m).v_plus, spectral(n).v_plus
-    return math.hypot(vm[0] - vn[0], vm[1] - vn[1])
 
 
 def frontier_guard(count: int) -> None:

@@ -74,18 +74,16 @@ def _cmd_enumerate(args) -> int:
     t0 = time.time()
     alphabet = Alphabet.parse(args.alphabet)
     header = _header(args)
-    table = None
+    # the canonical table counts each point once, so its total is the
+    # point count; it walks the same frontier as the points, so an
+    # oversized request exits 3 here, before any file is opened
+    table = multiplicity_table(alphabet, args.N, spellings=args.spellings)
+    n_points = table.total
     if args.out:
-        points = list(enumerate_orbit(alphabet, args.N, spellings=args.spellings))
-        write_orbit_csv(args.out, points, header)
-        n_points = len(points)
-    else:
-        # the canonical table counts each point once: its total is the
-        # point count, without forming the points
-        table = multiplicity_table(alphabet, args.N, spellings=args.spellings)
-        n_points = table.total
+        write_orbit_csv(args.out, enumerate_orbit(alphabet, args.N, spellings=args.spellings),
+                        header)
     if args.mult_out:
-        if table is None or args.representative != table.representative:
+        if args.representative != table.representative:
             table = multiplicity_table(alphabet, args.N, spellings=args.spellings,
                                        representative=args.representative)
         write_mult_csv(args.mult_out, table, header)
@@ -223,11 +221,11 @@ def _cmd_repro(args) -> int:
         write_points_csv(path(f"{fig}_points.csv"), zn_points(b, 4547), header)
     elif fig == "fig5":
         for N in (1000, 10000):
-            pts = list(enumerate_orbit(Alphabet.of((1, 2)), N))
-            write_orbit_csv(path(f"fig5_orbit_N{N}.csv"), pts, header)
+            write_orbit_csv(path(f"fig5_orbit_N{N}.csv"),
+                            enumerate_orbit(Alphabet.of((1, 2)), N), header)
     elif fig == "fig6":
-        pts = list(enumerate_orbit(Alphabet.of((1, 2, 3, 4, 5)), 500))
-        write_orbit_csv(path("fig6_orbit.csv"), pts, header)
+        write_orbit_csv(path("fig6_orbit.csv"),
+                        enumerate_orbit(Alphabet.of((1, 2, 3, 4, 5)), 500), header)
     elif fig == "fig7":
         N = args.N or 1000
         alphabet = Alphabet.of((1, 2, 3, 4, 5))

@@ -98,14 +98,6 @@ def source_from_ensemble(ens) -> ExpSumSource:
     return ExpSumSource(vals, ens.N, label=f"omega:{ens.alphabet}:N={ens.N}")
 
 
-def s_n(source: ExpSumSource, theta: float) -> complex:
-    """S(theta) by direct summation; S(0) is exactly the multiset size."""
-    if theta == 0.0:
-        return complex(len(source))
-    phase = np.exp(2j * np.pi * ((theta * source.values) % 1.0))
-    return complex(phase.sum())
-
-
 def _sn_grid_exact(source: ExpSumSource, M: int,
                    chunk: int = 512) -> np.ndarray:
     """S(j/M) for j = 0..M-1 with exact integer phase reduction.

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cfcore import Alphabet
 from .errors import InputError, ResourceError
-from .orbits import enumerate_orbit
+from .orbits import _pairs
 
 CLOSURE_Q_CAP = 1000  # q^2 = 10^6 bottom-row states, under a second
 NU_Q_CAP = 50
@@ -256,13 +256,12 @@ def primitive_root_witness(alphabet, N: int,
     """
     if N < 100:
         raise InputError(f"need N >= 100, got {N}")
-    fibers: dict[int, list[int]] = {}
-    for pt in enumerate_orbit(alphabet, N, spellings=spellings):
-        fibers.setdefault(pt.d, []).append(pt.b)
-    for d in sorted(fibers):
-        if not is_prime(d):
-            continue
-        for b in sorted(fibers[d]):
-            if is_primitive_root(b, d):
-                return Witness(b, d)
+    b, d = _pairs(alphabet, N, spellings)
+    order = np.lexsort((b, d))
+    last = prime = None
+    for bi, di in zip(b[order].tolist(), d[order].tolist()):
+        if di != last:
+            last, prime = di, is_prime(di)
+        if prime and is_primitive_root(bi, di):
+            return Witness(bi, di)
     return None

@@ -7,12 +7,15 @@ are extended one letter at a time and pruned exactly when the continuant
 d reaches the bound N, which is sound because d strictly increases along
 every extension.
 
-Two walks share that rule.  Points with their words (`enumerate_orbit`,
-and through it the orbit CSV, `sumset_check` and the primitive-root
-search) come from a depth-first walk in Python.  Fiber counts
+One level-synchronous numpy frontier (`_blocks`) applies that rule and
+the emit rule below.  It yields the emitted words in blocks of one
+length, one leading letter and one last-letter pair.  Fiber counts
 (`multiplicity_table` and everything built on it, `counts_at_thresholds`)
-come from a level-synchronous numpy frontier of continuant pairs, which
-never forms a word or a numerator.
+read only the continuants of each block.  Points (`enumerate_orbit`, and
+through the same blocks the orbit CSV, `sumset_check` and the
+primitive-root search) also carry the numerators and the word matrix.
+Points come by leading letter, then word length, then block: a fixed
+order, but not the lexicographic one of a depth-first walk.
 
 Spelling conventions.  Every rational except 1 has two CF spellings,
 the canonical one (last quotient >= 2) and its trailing-1 twin.  Which
@@ -47,7 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,69 +77,106 @@ def _check_spellings(spellings: str) -> str:
     return spellings
 
 
-def _emit_test(spellings: str, letters: frozenset[int]) -> Callable:
-    """Predicate deciding whether the visited word is the representative
-    spelling of its value under the given convention."""
-    if spellings == "canonical":
-        return lambda w, a: a >= 2
-    if spellings == "even":
-        return lambda w, a: len(w) % 2 == 0
-    # "any": canonical words, plus trailing-1 words whose twin leaves
-    # the alphabet (so each member rational is emitted exactly once)
-    return lambda w, a: a >= 2 or (len(w) >= 2 and (w[-2] + 1) not in letters)
+def _blocks(alphabet, N: int, spellings: str, representative: str = "canonical",
+            points: bool = False) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Every emitted word with continuant < N, as blocks (weight, cols, words).
 
+    A block holds the words of one length, one leading letter and one
+    (previous, new) last-letter pair, because the emit rule reads only
+    the new letter, the one before it and the length.  `weight` is how
+    often each word counts: 1, or 2 under representative="orbit" when
+    the twin of a canonical word also lies over the alphabet.  `cols` is
+    the (1, n) row of continuants q_k; with points=True it is the (2, n)
+    array of numerators and continuants (p_k, q_k), and `words` is the
+    (n, k) word matrix (else None).
 
-def _walk(alphabet, N: int, visit: Callable[[int, int, Word], None],
-          spellings: str = "any", prefix: Word = ()) -> None:
-    """DFS over words over the alphabet with continuant < N.
-
-    Calls visit(b, d, word) once per member rational (per `spellings`).
-    `prefix` restricts the walk to words starting with that prefix
-    (enumerate_orbit walks one leading letter at a time); the prefix
-    itself is visited.
+    Level-synchronous: level k holds the last two matrix columns of every
+    word of length k with q_k < N, grouped by last letter.  A parent that
+    overflows letter a overflows every larger letter, so each letter
+    extends only the survivors of the one before.  One chunk per leading
+    letter bounds memory by the largest subtree, and frontier_guard caps
+    each level.  Blocks come by leading letter, then length.
     """
-    letters = Alphabet.of(alphabet).letters
+    alphabet = Alphabet.of(alphabet)
+    letters = alphabet.letters
     lset = frozenset(letters)
-    emit = _emit_test(_check_spellings(spellings), lset)
-    if N < 2:
-        return
+    spellings = _check_spellings(spellings)
+    both = representative == "orbit" and spellings == "any" and 1 in lset
+    # q_{k-1} + a * q_k < (a_max + 1) * N bounds every value computed,
+    # and p_k <= q_k
+    dtype = np.int32 if (alphabet.a_max + 1) * N < 2 ** 31 else np.int64
+    wtype = np.int16 if alphabet.a_max < 2 ** 15 else np.int64
+    rows = slice(0 if points else 1, 2)  # (p, q) or q alone
 
-    # state: previous and current convergent columns of the word matrix
-    def rec(pp: int, qp: int, p: int, q: int, w: Word) -> None:
-        for a in letters:
-            nq = qp + a * q
-            if nq >= N:
-                break  # letters ascend and q grows with a: no more fits
-            np_ = pp + a * p
-            nw = w + (a,)
-            if nw != (1,) and emit(nw, a):
-                visit(np_, nq, nw)
-            rec(p, q, np_, nq, nw)
+    def weight(prev: int, a: int, depth: int) -> int:
+        # the emit rule, for the word ending (..., prev, a) of length depth;
+        # prev = 0 for a one-letter word, so the word (1) is never emitted
+        if spellings == "canonical":
+            return int(a >= 2)
+        if spellings == "even":
+            return int(depth % 2 == 0)
+        # "any": canonical words, plus trailing-1 words whose twin leaves
+        # the alphabet (so each member rational is emitted exactly once)
+        if a >= 2:
+            return 2 if both and (a - 1) in lset else 1
+        return int(prev > 0 and (prev + 1) not in lset)
 
-    pp, qp, p, q = 1, 0, 0, 1
-    w: Word = ()
-    for a in prefix:
-        pp, qp, p, q, w = p, q, pp + a * p, qp + a * q, w + (a,)
-    if q >= N:
-        return
-    if prefix and w != (1,) and emit(w, w[-1]):
-        visit(p, q, w)
-    rec(pp, qp, p, q, w)
+    for first in letters:
+        if first >= N:
+            break
+        # the matrix columns (p_0, q_0) and (p_1, q_1) of the word (first)
+        old = np.array([[0], [1]], dtype)[rows]
+        cur = np.array([[1], [first]], dtype)[rows]
+        word = np.full((1, 1), first, wtype) if points else None
+        w = weight(0, first, 1)
+        if w:
+            yield w, cur, word
+        frontier = {first: (old, cur, word)}
+        depth = 1
+        while frontier:
+            depth += 1
+            grown: dict[int, tuple[list, list, list]] = {}
+            size = 0
+            for prev, (new, cur, words) in frontier.items():
+                step = 0
+                for a in letters:
+                    new = new + (a - step) * cur  # = old + a * cur
+                    step = a
+                    fits = new[-1] < N
+                    if not fits.all():
+                        cur, new = cur.compress(fits, 1), new.compress(fits, 1)
+                        words = words.compress(fits, 0) if points else None
+                    n = new.shape[1]
+                    if not n:
+                        break
+                    size += n
+                    frontier_guard(size)
+                    kids = np.column_stack((words, np.full(n, a, wtype))) if points else None
+                    olds, news, kin = grown.setdefault(a, ([], [], []))
+                    olds.append(cur)
+                    news.append(new)
+                    kin.append(kids)
+                    w = weight(prev, a, depth)
+                    if w:
+                        yield w, new, kids
+            frontier = {a: (np.concatenate(olds, 1), np.concatenate(news, 1),
+                            np.concatenate(kin) if points else None)
+                        for a, (olds, news, kin) in grown.items()}
 
 
 def enumerate_orbit(alphabet, N: int, spellings: str = "any") -> Iterator[OrbitPoint]:
-    """Stream every member b/d with d < N, exactly once, as OrbitPoints."""
-    out: list[OrbitPoint] = []
-    buf = out.append
+    """Stream every member b/d with d < N, exactly once, as OrbitPoints:
+    by leading letter, then word length, then last two letters."""
+    for _, (b, d), words in _blocks(alphabet, N, spellings, points=True):
+        yield from map(OrbitPoint, b.tolist(), d.tolist(), map(tuple, words.tolist()))
 
-    # generator facade over the callback walker, in DFS batches per
-    # top-level letter so memory stays proportional to one subtree
-    letters = Alphabet.of(alphabet).letters
-    for a in letters:
-        out.clear()
-        _walk(alphabet, N, lambda b, d, w: buf(OrbitPoint(b, d, w)),
-              spellings=spellings, prefix=(a,))
-        yield from out
+
+def _pairs(alphabet, N: int, spellings: str) -> tuple[np.ndarray, np.ndarray]:
+    """(b, d) of every member b/d with d < N, as int64 arrays in block order."""
+    empty = np.zeros(0, np.int64)
+    bs, ds = zip((empty, empty), *(cols for _, cols, _ in
+                                   _blocks(alphabet, N, spellings, points=True)))
+    return np.concatenate(bs), np.concatenate(ds)
 
 
 @dataclass
@@ -162,76 +203,25 @@ class MultiplicityTable:
         return [d for d in range(2, self.N) if d not in self.counts]
 
 
-def _fibers(alphabet: Alphabet, N: int, spellings: str,
+def _fibers(alphabet, N: int, spellings: str,
             representative: str = "canonical") -> tuple[np.ndarray, np.ndarray]:
     """(ds, counts): the continuants d < N of the emitted words, ascending,
-    with the weighted number of emitted words at each.
-
-    Level-synchronous: level k holds the continuant pair (q_{k-1}, q_k)
-    of every word of length k with q_k < N, grouped by last letter,
-    because the emit rule reads only the new letter, the one before it
-    and the parity of k.  A parent that overflows letter a overflows
-    every larger letter, so each letter extends only the survivors of the
-    one before.  One chunk per leading letter bounds memory by the
-    largest subtree, and frontier_guard caps each level.
-    """
-    letters = alphabet.letters
-    lset = frozenset(letters)
-    both = representative == "orbit" and spellings == "any" and 1 in lset
-    # q_{k-1} + a * q_k < (a_max + 1) * N bounds every value computed
-    dtype = np.int32 if (alphabet.a_max + 1) * N < 2 ** 31 else np.int64
-
-    def weight(prev: int, a: int, depth: int) -> int:
-        # the _emit_test rules; prev = 0 for a one-letter word, so the
-        # word (1) is never emitted
-        if spellings == "canonical":
-            return int(a >= 2)
-        if spellings == "even":
-            return int(depth % 2 == 0)
-        if a >= 2:
-            return 2 if both and (a - 1) in lset else 1
-        return int(prev > 0 and (prev + 1) not in lset)
-
+    with the weighted number of emitted words at each."""
     # emitted continuants not yet counted, one copy per unit of weight.
     # They go into an N-long histogram once they reach N entries, so each
     # bincount costs O(N) that often; an orbit with fewer words than N is
     # sorted instead and never allocates the histogram.
     emitted: list[np.ndarray] = []
+    pending = 0
     hist = None
-    for first in letters:
-        if first >= N:
-            break
-        q1 = np.full(1, first, dtype)  # the one-letter word: (q_0, q_1) = (1, first)
-        frontier = {first: (np.ones(1, dtype), q1)}
-        emitted += [q1] * weight(0, first, 1)
-        depth = 1
-        while frontier:
-            depth += 1
-            grown: dict[int, tuple[list, list]] = {}
-            size = 0
-            for prev, (qp, q) in frontier.items():
-                nq, step = qp, 0
-                for a in letters:
-                    nq = nq + (a - step) * q  # = q_{k-1} + a * q_k
-                    step = a
-                    fits = nq < N
-                    if not fits.all():
-                        q, nq = q[fits], nq[fits]
-                    if not len(nq):
-                        break
-                    size += len(nq)
-                    frontier_guard(size)
-                    qps, qs = grown.setdefault(a, ([], []))
-                    qps.append(q)
-                    qs.append(nq)
-                    emitted += [nq] * weight(prev, a, depth)
-            frontier = {a: (np.concatenate(qps), np.concatenate(qs))
-                        for a, (qps, qs) in grown.items()}
-            if sum(map(len, emitted)) >= N:
-                counted = np.bincount(np.concatenate(emitted), minlength=N)
-                hist = counted if hist is None else hist + counted
-                emitted = []
-    rest = np.concatenate(emitted) if emitted else np.zeros(0, dtype)
+    for weight, cols, _ in _blocks(alphabet, N, spellings, representative):
+        emitted += [cols[-1]] * weight
+        pending += weight * cols.shape[1]
+        if pending >= N:
+            counted = np.bincount(np.concatenate(emitted), minlength=N)
+            hist = counted if hist is None else hist + counted
+            emitted, pending = [], 0
+    rest = np.concatenate(emitted) if emitted else np.zeros(0, np.int64)
     if hist is None:
         return np.unique(rest, return_counts=True)
     hist += np.bincount(rest, minlength=N)
@@ -250,8 +240,7 @@ def multiplicity_table(alphabet, N: int, spellings: str = "any",
     """
     if representative not in ("canonical", "orbit"):
         raise InputError(f"representative must be canonical|orbit, got {representative!r}")
-    ds, counts = _fibers(Alphabet.of(alphabet), N, _check_spellings(spellings),
-                         representative)
+    ds, counts = _fibers(alphabet, N, spellings, representative)
     return MultiplicityTable(N, dict(zip(ds.tolist(), counts.tolist())),
                              spellings, representative)
 
@@ -272,8 +261,7 @@ def counts_at_thresholds(alphabet, N_list: Sequence[int],
     thresholds = sorted(set(int(n) for n in N_list))
     if any(n < 2 for n in thresholds):
         raise InputError("thresholds must be >= 2")
-    ds, counts = _fibers(Alphabet.of(alphabet), thresholds[-1],
-                         _check_spellings(spellings))
+    ds, counts = _fibers(alphabet, thresholds[-1], spellings)
     # below[i] sums the i smallest fibers; searchsorted counts those with d < n
     below = np.concatenate(([0], np.cumsum(counts)))
     return [int(below[np.searchsorted(ds, n)]) for n in thresholds]
@@ -315,21 +303,13 @@ def sumset_check(alphabet, N: int, spellings: str = "any") -> SumsetReport:
     alphabet = Alphabet.of(alphabet)
     bigN = (alphabet.a_max + 1) * N
     big = multiplicity_table(alphabet, bigN, spellings=spellings)
-    dset = set(big.counts)
+    dset = np.fromiter(big.counts, np.int64, len(big.counts))
+    b, d = _pairs(alphabet, N, spellings)
     bad: list[tuple[int, int, int, int]] = []
-    n_pts = 0
-    n_checks = 0
-    for pt in enumerate_orbit(alphabet, N, spellings=spellings):
-        n_pts += 1
-        if pt.d not in dset:
-            bad.append((pt.b, pt.d, 0, pt.d))
-        n_checks += 1
-        for a in alphabet:
-            n_checks += 1
-            v = pt.b + a * pt.d
-            if v not in dset:
-                bad.append((pt.b, pt.d, a, v))
-    return SumsetReport(N, bigN, n_pts, n_checks, bad)
+    for a, v in [(0, d)] + [(a, b + a * d) for a in alphabet]:
+        miss = ~np.isin(v, dset)
+        bad += zip(b[miss].tolist(), d[miss].tolist(), repeat(a), v[miss].tolist())
+    return SumsetReport(N, bigN, len(d), len(d) * (len(alphabet) + 1), bad)
 
 
 @dataclass

@@ -3,7 +3,7 @@ import math
 import random
 from collections import Counter
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from continuantlab.cfcore import (IDENTITY, Alphabet, Mat2, Word, cf_expand,
 from continuantlab.dimension import (DimensionResult, SectorReport,
                                      pressure_eigenvalue)
 from continuantlab.errors import ConstructionError, InputError, NumericalError
-from continuantlab.orbits import _walk
+from continuantlab.expsum import ExpSumSource
+from continuantlab.modular import Witness, is_prime, is_primitive_root
+from continuantlab.orbits import _check_spellings, multiplicity_table
 from continuantlab.products import (XI_MIN_M, XiSet, _lambda_class_bounds,
                                     _require_in_limit_set, _unit_direction,
                                     default_target_point)
@@ -59,6 +61,58 @@ def brute_force_orbit(letters, N: int, spellings: str = "any"):
     return out
 
 
+# A depth-first walk over the words, one visit per emitted point: the
+# per-point oracle for the numpy blocks of orbits._blocks.
+def _emit_test(spellings: str, letters: frozenset[int]) -> Callable:
+    """Predicate deciding whether the visited word is the representative
+    spelling of its value under the given convention."""
+    if spellings == "canonical":
+        return lambda w, a: a >= 2
+    if spellings == "even":
+        return lambda w, a: len(w) % 2 == 0
+    # "any": canonical words, plus trailing-1 words whose twin leaves
+    # the alphabet (so each member rational is emitted exactly once)
+    return lambda w, a: a >= 2 or (len(w) >= 2 and (w[-2] + 1) not in letters)
+
+
+def _walk(alphabet, N: int, visit: Callable[[int, int, Word], None],
+          spellings: str = "any", prefix: Word = ()) -> None:
+    """DFS over words over the alphabet with continuant < N.
+
+    Calls visit(b, d, word) once per member rational (per `spellings`).
+    `prefix` restricts the walk to words starting with that prefix
+    (enumerate_orbit walks one leading letter at a time); the prefix
+    itself is visited.
+    """
+    letters = Alphabet.of(alphabet).letters
+    lset = frozenset(letters)
+    emit = _emit_test(_check_spellings(spellings), lset)
+    if N < 2:
+        return
+
+    # state: previous and current convergent columns of the word matrix
+    def rec(pp: int, qp: int, p: int, q: int, w: Word) -> None:
+        for a in letters:
+            nq = qp + a * q
+            if nq >= N:
+                break  # letters ascend and q grows with a: no more fits
+            np_ = pp + a * p
+            nw = w + (a,)
+            if nw != (1,) and emit(nw, a):
+                visit(np_, nq, nw)
+            rec(p, q, np_, nq, nw)
+
+    pp, qp, p, q = 1, 0, 0, 1
+    w: Word = ()
+    for a in prefix:
+        pp, qp, p, q, w = p, q, pp + a * p, qp + a * q, w + (a,)
+    if q >= N:
+        return
+    if prefix and w != (1,) and emit(w, w[-1]):
+        visit(p, q, w)
+    rec(pp, qp, p, q, w)
+
+
 def dfs_fiber_counts(letters, N: int, spellings: str = "any",
                      representative: str = "canonical") -> dict[int, int]:
     """d -> weighted count of the points the depth-first walk visits.
@@ -78,6 +132,51 @@ def dfs_fiber_counts(letters, N: int, spellings: str = "any",
 
     _walk(Alphabet.of(letters), N, visit, spellings=spellings)
     return dict(counts)
+
+
+def dfs_points(letters, N: int, spellings: str = "any") -> Counter:
+    """Multiset of the (b, d, word) the depth-first walk visits: the
+    oracle for the point blocks behind orbits.enumerate_orbit."""
+    points: Counter = Counter()
+    _walk(Alphabet.of(letters), N, lambda b, d, w: points.update([(b, d, w)]),
+          spellings=spellings)
+    return points
+
+
+def dfs_sumset(letters, N: int, spellings: str = "any"):
+    """(n_points, n_checks, sorted counterexamples) of orbits.sumset_check,
+    per point of the depth-first walk.  The continuants below
+    (a_max + 1) * N come from multiplicity_table, which
+    test_fiber_counts_match_dfs holds to the walk."""
+    alphabet = Alphabet.of(letters)
+    dset = set(multiplicity_table(alphabet, (alphabet.a_max + 1) * N, spellings).counts)
+    bad = []
+    n_points = 0
+
+    def visit(b, d, w):
+        nonlocal n_points
+        n_points += 1
+        for a, v in [(0, d)] + [(a, b + a * d) for a in alphabet]:
+            if v not in dset:
+                bad.append((b, d, a, v))
+
+    _walk(alphabet, N, visit, spellings=spellings)
+    return n_points, n_points * (len(alphabet) + 1), sorted(bad)
+
+
+def dfs_witness(letters, N: int, spellings: str = "any"):
+    """modular.primitive_root_witness over the depth-first walk: the first
+    b/d by increasing d, then b, with d prime and b a primitive root."""
+    fibers: dict[int, list[int]] = {}
+    _walk(Alphabet.of(letters), N, lambda b, d, w: fibers.setdefault(d, []).append(b),
+          spellings=spellings)
+    for d in sorted(fibers):
+        if not is_prime(d):
+            continue
+        for b in sorted(fibers[d]):
+            if is_primitive_root(b, d):
+                return Witness(b, d)
+    return None
 
 
 def matrix_closure(letters, q: int) -> set:
@@ -113,6 +212,14 @@ def arc_windows(N: int, Q: int, K: int) -> list[tuple[float, float]]:
                 out.append((a / q + K / (2 * N), a / q + K / N))
                 out.append((a / q - K / N, a / q - K / (2 * N)))
     return out
+
+
+def s_n(source: ExpSumSource, theta: float) -> complex:
+    """S(theta) by direct summation; S(0) is exactly the multiset size."""
+    if theta == 0.0:
+        return complex(len(source))
+    phase = np.exp(2j * np.pi * ((theta * source.values) % 1.0))
+    return complex(phase.sum())
 
 
 def scan_star_discrepancy(ps) -> float:

@@ -170,9 +170,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(qmc, "_exact_discrepancy", no_sweep)
     assert run(["qmc", "disc", "--in", str(big)]) == 3
-    # a frontier level over the element cap: fiber counts and the ensemble
+    # a frontier level over the element cap: fiber counts, orbit points
+    # (refused before the file is opened) and the ensemble
     monkeypatch.setattr(cfcore, "FRONTIER_CAP", 1000)
     assert run(["exceptions", "--alphabet", "1,2,3,4", "--N", "3000"]) == 3
+    orbit_csv = tmp_path / "orbit.csv"
+    assert run(["enumerate", "--alphabet", "1,2,3,4", "--N", "3000",
+                "--out", str(orbit_csv)]) == 3
+    assert not orbit_csv.exists()
     assert run(["ensemble", "--alphabet", "1,2", "--N", "100000000"]) == 3
     capsys.readouterr()
 

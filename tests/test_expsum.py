@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arc_windows
+from conftest import arc_windows, s_n
 from continuantlab.errors import InputError
 from continuantlab.expsum import (ExpSumSource, arc_profile,
                                   band_integral_exact, dyadic_partition_report,
-                                  integrate_band, representation_numbers, s_n,
+                                  integrate_band, representation_numbers,
                                   source_from_ensemble, source_from_orbit,
                                   _sn_uniform_grid)
 from continuantlab.orbits import multiplicity_table

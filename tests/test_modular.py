@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_closure
+from conftest import dfs_witness, matrix_closure
 from continuantlab.errors import InputError, ResourceError
 from continuantlab.modular import (CLOSURE_Q_CAP, Admissibility, closure_mod_q,
                                    is_admissible, is_prime, is_primitive_root,
@@ -217,6 +217,23 @@ def test_primitive_root_witness_fibonacci():
     assert w is not None
     assert is_prime(w.d)
     assert is_primitive_root(w.b, w.d)
+
+
+@pytest.mark.parametrize("letters,N", [((1, 2), 10 ** 4), ((1, 2, 3, 4, 5), 500),
+                                       ((1,), 100), ((2, 3), 3000), ((3, 4), 3000),
+                                       ((3, 4), 600), ((4, 5, 6), 3000), ((3, 5, 7), 3000)])
+@pytest.mark.parametrize("spellings", ("any", "canonical", "even"))
+def test_primitive_root_witness_matches_dfs(letters, N, spellings):
+    assert primitive_root_witness(letters, N, spellings) == dfs_witness(letters, N, spellings)
+
+
+def test_primitive_root_witness_search_order():
+    # 601 is the first prime continuant over {3,4} with a primitive-root
+    # numerator; the primes below it (3, 13, 17, ..., 599) have none
+    assert primitive_root_witness((3, 4), 3000) == (142, 601)
+    assert primitive_root_witness((3, 4), 600) is None
+    # increasing d first: 51/271 has the smaller numerator
+    assert primitive_root_witness((3, 5, 7), 3000) == (69, 229)
 
 
 def test_residue_mass_tracks_singular_series():

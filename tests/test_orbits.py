@@ -16,7 +16,8 @@ from continuantlab.orbits import (SPELLINGS, MultiplicityTable,
                                   hensley_exponent, multiplicity_table,
                                   sumset_check, write_exceptions_csv,
                                   write_mult_csv, write_orbit_csv)
-from conftest import brute_force_orbit, dfs_fiber_counts
+from conftest import (brute_force_orbit, dfs_fiber_counts, dfs_points,
+                      dfs_sumset)
 
 FIB_DENOMS = [2, 3, 5, 8, 13, 21, 34, 55, 89]
 
@@ -125,6 +126,31 @@ def test_fiber_counts_match_dfs(case, spellings, representative):
             sum(c for d, c in want.items() if d < n) for n in sorted(set(Ns))]
 
 
+@settings(max_examples=10, deadline=None)
+@given(case=CASES, spellings=st.sampled_from(SPELLINGS))
+@example(case=([1, 2], 3000), spellings="any")
+@example(case=([1, 2], 3000), spellings="even")
+@example(case=([1, 2 ** 30], 3000), spellings="any")
+@example(case=([1, 2 ** 30], 3000), spellings="canonical")
+@example(case=([1, 2 ** 16], 2 ** 20), spellings="any")
+def test_points_match_dfs(case, spellings):
+    # the point blocks against the per-point walk: the same multiset of
+    # (b, d, word), in another order; {1, 2^30} needs int64 pairs and
+    # {1, 2^16} int64 words
+    letters, N = case
+    assert Counter(enumerate_orbit(letters, N, spellings)) == dfs_points(letters, N, spellings)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+@pytest.mark.parametrize("letters", [(1,), (2,), (1, 2), (2, 3)])
+@pytest.mark.parametrize("spellings", SPELLINGS)
+def test_points_below_four(letters, N, spellings):
+    got = list(enumerate_orbit(letters, N, spellings))
+    assert Counter(got) == dfs_points(letters, N, spellings)
+    if N < 3:
+        assert got == []  # no b/d with 2 <= d < N
+
+
 def test_counts_at_thresholds_matches_direct():
     Ns = [50, 200, 800]
     cs = counts_at_thresholds((1, 2), Ns)
@@ -171,6 +197,18 @@ def test_sumset_check_12():
 def test_sumset_check_A5():
     rep = sumset_check((1, 2, 3, 4, 5), 200)
     assert rep.ok
+
+
+@pytest.mark.parametrize("letters,N", [((1, 2), 10 ** 4), ((1, 2, 3, 4, 5), 500),
+                                       ((1,), 100), ((2, 3), 3000)])
+@pytest.mark.parametrize("spellings", SPELLINGS)
+def test_sumset_check_matches_dfs(letters, N, spellings):
+    rep = sumset_check(letters, N, spellings)
+    assert (rep.n_points, rep.n_checks, sorted(rep.counterexamples)) == dfs_sumset(
+        letters, N, spellings)
+    # b + a*d adds one letter to the transposed word and flips its length
+    # parity, so only "even" has counterexamples
+    assert rep.ok or spellings == "even"
 
 
 def test_sumset_fibonacci_successor():
@@ -265,3 +303,6 @@ def test_fiber_frontier_cap(monkeypatch):
         multiplicity_table((1, 2, 3, 4), 1000)
     with pytest.raises(ResourceError):
         counts_at_thresholds((1, 2, 3, 4), [100, 1000])
+    # points come from the same frontier, so the same cap refuses them
+    with pytest.raises(ResourceError, match="FRONTIER_CAP"):
+        list(enumerate_orbit((1, 2, 3, 4), 1000))
