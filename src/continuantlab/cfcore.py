@@ -168,11 +168,6 @@ def mat_mul(m: Mat2, n: Mat2) -> Mat2:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def mat_transpose(m: Mat2) -> Mat2:
-    a, b, c, d = m
-    return (a, c, b, d)
-
-
 def word_to_matrix(word: Sequence[int]) -> Mat2:
     """Product of the generators (0 1; 1 a_j), left to right."""
     m = IDENTITY

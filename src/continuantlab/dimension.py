@@ -153,6 +153,9 @@ def dimension(alphabet, tol: float = 1e-12, nodes: int = 64) -> DimensionResult:
     lam(1) < 1 (checked at runtime), so the root is bracketed.  Each
     evaluation moves one end of the bracket, a step leaving it becomes
     the midpoint, and the loop ends on a step below tol or on P = 0.
+    If an earlier evaluation was strictly closer to lam = 1 than the
+    last, it is evaluated once more, so the result always ends the
+    history on its best point.
     """
     alphabet = Alphabet.of(alphabet)
     if tol < 1e-13:
@@ -186,8 +189,11 @@ def dimension(alphabet, tol: float = 1e-12, nodes: int = 64) -> DimensionResult:
             break
     else:
         raise NumericalError(f"secant refinement stalled near s={s1}")
-    lam = history[-1][1]
-    return DimensionResult(s1, lam, nodes, abs(lam - 1.0), tuple(history))
+    best = min(history, key=lambda h: abs(h[1] - 1.0))
+    if abs(best[1] - 1.0) < abs(history[-1][1] - 1.0):
+        P(best[0])
+    s, lam = history[-1]
+    return DimensionResult(s, lam, nodes, abs(lam - 1.0), tuple(history))
 
 
 def hensley_asymptotic(A: int) -> float:

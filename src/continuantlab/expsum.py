@@ -98,8 +98,7 @@ def source_from_ensemble(ens) -> ExpSumSource:
     return ExpSumSource(vals, ens.N, label=f"omega:{ens.alphabet}:N={ens.N}")
 
 
-def _sn_grid_exact(source: ExpSumSource, M: int,
-                   chunk: int = 512) -> np.ndarray:
+def _sn_grid_exact(source: ExpSumSource, M: int) -> np.ndarray:
     """S(j/M) for j = 0..M-1 with exact integer phase reduction.
 
     Direct summation over the raw multiset (deliberately not via the
@@ -109,6 +108,7 @@ def _sn_grid_exact(source: ExpSumSource, M: int,
     vals = source.values
     out = np.empty(M, dtype=np.complex128)
     js = np.arange(M, dtype=np.int64)
+    chunk = 512  # grid points per block of the (points x values) phase matrix
     for start in range(0, M, chunk):
         jb = js[start:start + chunk]
         idx = (jb[:, None] * vals[None, :]) % M
@@ -152,8 +152,7 @@ class RepNumbers:
 
 
 def representation_numbers(source: ExpSumSource,
-                           dft_length: Optional[int] = None,
-                           tol: float = 1e-6) -> RepNumbers:
+                           dft_length: Optional[int] = None) -> RepNumbers:
     """R(n) by histogram and by inversion of the exponential sum.
 
     The DFT length defaults to the next power of two above 16N, which
@@ -178,8 +177,8 @@ def representation_numbers(source: ExpSumSource,
     err = float(np.max(np.abs(recovered - counts)))
     tail = float(np.max(np.abs(inv.real[len(counts):]))) if M > len(counts) else 0.0
     err = max(err, tail)
-    if err > tol:
-        raise NumericalError(f"Fourier inversion off by {err} (> {tol})")
+    if err > 1e-6:
+        raise NumericalError(f"Fourier inversion off by {err} (> 1e-6)")
     dft_counts = np.rint(recovered).astype(np.int64)
     parseval_grid = float(np.mean(np.abs(grid) ** 2))
     parseval_direct = float(np.sum(counts.astype(np.float64) ** 2))

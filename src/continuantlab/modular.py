@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -103,40 +102,17 @@ def is_admissible(alphabet, d: int, q_max: int = 30) -> Admissibility:
     return Admissibility(True, None)
 
 
-@lru_cache(maxsize=None)
 def sl2_dentry_counts(q: int) -> tuple[int, ...]:
-    """counts[r] = #{(a,b,c,d) in SL2(Z/q) : d = r}.
-
-    Uses #{(b,c): bc = m (q)} precomputed in O(q^2); total O(q^2).
-    """
-    if q == 1:
-        return (1,)
-    prod_count = [0] * q
-    for b in range(q):
-        for c in range(q):
-            prod_count[(b * c) % q] += 1
-    counts = [0] * q
+    """counts[r] = #{(a,b,c,d) in SL2(Z/q) : d = r} = q^2 phi(g) / g, g = gcd(r, q)."""
+    primes = _prime_factors(q)
+    counts = []
     for r in range(q):
-        counts[r] = sum(prod_count[(a * r - 1) % q] for a in range(q))
+        count = q * q
+        for p in primes:
+            if r % p == 0:
+                count = count // p * (p - 1)
+        counts.append(count)
     return tuple(counts)
-
-
-def sl2_order(q: int) -> int:
-    """|SL2(Z/q)| = q^3 * prod_{p | q} (1 - 1/p^2)."""
-    if q < 1:
-        raise InputError(f"need q >= 1, got {q}")
-    order = q ** 3
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        order = order // (m * m) * (m * m - 1)
-    return order
 
 
 def nu_q(q: int, a: int, exact: bool = False):

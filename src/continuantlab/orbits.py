@@ -320,9 +320,10 @@ class DensityReport:
     max_multiplicity_at: int
 
 
-def density_ratio(alphabet, N: int, delta: float, points: int = 40,
+def density_ratio(alphabet, N: int, delta: float,
                   spellings: str = "any") -> DensityReport:
-    """Normalized counting function #D(N_i) / N_i^{2 delta} on a log grid."""
+    """Normalized counting function #D(N_i) / N_i^{2 delta} on a log grid
+    of 40 points from 4 to N (fewer where they round to the same N_i)."""
     if not (0 <= delta < 1):
         raise InputError(f"delta must be in [0, 1), got {delta}")
     if N < 4:
@@ -330,7 +331,7 @@ def density_ratio(alphabet, N: int, delta: float, points: int = 40,
     table = multiplicity_table(alphabet, N, spellings=spellings)
     denoms = np.array(table.denominators)
     grid_N = sorted(set(int(round(x)) for x in
-                        np.exp(np.linspace(math.log(4), math.log(N), points))))
+                        np.exp(np.linspace(math.log(4), math.log(N), 40))))
     grid = []
     for Ni in grid_N:
         nd = int(np.searchsorted(denoms, Ni, side="left"))
@@ -345,8 +346,9 @@ def density_ratio(alphabet, N: int, delta: float, points: int = 40,
 
 # --- CSV emitters (base-10 integers, header row, LF newlines) ---------------
 
-def _write_csv(path, header_lines: Sequence[str], columns: Sequence[str],
-               rows) -> None:
+def write_csv(path, header_lines: Sequence[str], columns: Sequence[str],
+              rows) -> None:
+    """`# ` header lines, the column row, then one line per row of str()s."""
     with open(path, "w", newline="\n") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
@@ -357,15 +359,15 @@ def _write_csv(path, header_lines: Sequence[str], columns: Sequence[str],
 
 def write_orbit_csv(path, points, header_lines: Sequence[str] = ()) -> None:
     rows = ((p.b, p.d, " ".join(str(a) for a in p.word)) for p in points)
-    _write_csv(path, header_lines, ("b", "d", "word"), rows)
+    write_csv(path, header_lines, ("b", "d", "word"), rows)
 
 
 def write_mult_csv(path, table: MultiplicityTable,
                    header_lines: Sequence[str] = ()) -> None:
     rows = ((d, table.counts[d]) for d in table.denominators)
-    _write_csv(path, header_lines, ("d", "count"), rows)
+    write_csv(path, header_lines, ("d", "count"), rows)
 
 
 def write_exceptions_csv(path, exc: Sequence[int],
                          header_lines: Sequence[str] = ()) -> None:
-    _write_csv(path, header_lines, ("d",), ((d,) for d in exc))
+    write_csv(path, header_lines, ("d",), ((d,) for d in exc))

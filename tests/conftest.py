@@ -200,6 +200,46 @@ def matrix_closure(letters, q: int) -> set:
     return seen
 
 
+def oracle_sl2_dentry_counts(q: int) -> tuple[int, ...]:
+    """counts[r] = #{(a,b,c,d) in SL2(Z/q) : d = r}.
+
+    Uses #{(b,c): bc = m (q)} precomputed in O(q^2); total O(q^2).
+    """
+    if q == 1:
+        return (1,)
+    prod_count = [0] * q
+    for b in range(q):
+        for c in range(q):
+            prod_count[(b * c) % q] += 1
+    counts = [0] * q
+    for r in range(q):
+        counts[r] = sum(prod_count[(a * r - 1) % q] for a in range(q))
+    return tuple(counts)
+
+
+def sl2_order(q: int) -> int:
+    """|SL2(Z/q)| = q^3 * prod_{p | q} (1 - 1/p^2)."""
+    if q < 1:
+        raise InputError(f"need q >= 1, got {q}")
+    order = q ** 3
+    m = q
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            order = order // (p * p) * (p * p - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        order = order // (m * m) * (m * m - 1)
+    return order
+
+
+def mat_transpose(m: Mat2) -> Mat2:
+    a, b, c, d = m
+    return (a, c, b, d)
+
+
 def arc_windows(N: int, Q: int, K: int) -> list[tuple[float, float]]:
     """The bands a/q + [K/2N, K/N) and a/q - [K/N, K/2N) for Q/2 <= q < Q,
     0 <= a < q, gcd(a, q) = 1: the window set of expsum.arc_profile."""

@@ -10,11 +10,11 @@ from continuantlab import cfcore
 from continuantlab.cfcore import (IDENTITY, Alphabet, cf_expand, cf_value,
                                   even_normalize, frobenius_sq, gamma_levels,
                                   is_semigroup_matrix, lambda_expanding,
-                                  level_words, mat_mul, mat_transpose,
+                                  level_words, mat_mul,
                                   matrix_to_fraction, norm_frobenius, spectral,
                                   spectral_arrays, trace, twin, word_to_matrix)
 from continuantlab.errors import InputError, ResourceError
-from conftest import iter_gamma, random_word
+from conftest import iter_gamma, mat_transpose, random_word
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import continuantlab
-from continuantlab import cfcore, qmc
+from continuantlab import cfcore, cli, qmc
 from continuantlab.cli import run
 from continuantlab.modular import CLOSURE_Q_CAP
 from continuantlab.qmc import (EXACT_POINT_CAP, read_points_csv, star_discrepancy,
@@ -151,6 +151,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["enumerate", "--alphabet", "1,2", "--N", "50",
                 "--mult", str(tmp_path / "m.csv")]) == 2
     assert not (tmp_path / "X").exists() and not (tmp_path / "m.csv").exists()
+    # only fig7 and fig8 read --N; the other figures refuse it before writing
+    for fig in ("fig2", "fig3", "fig5", "fig6"):
+        assert run(["repro", fig, "--N", "10", "--out-dir", str(tmp_path / "figs")]) == 2
+    assert not (tmp_path / "figs").exists()
     good, missing = tmp_path / "good.csv", tmp_path / "missing.csv"
     good.write_text("x,y\n0.5,0.25\n")
     assert run(["qmc", "disc", "--in", str(good), "--out", str(tmp_path / "x")]) == 2
@@ -219,3 +223,79 @@ def test_enumerate_files_are_byte_identical(tmp_path, capsys):
     assert code == 0
     assert doc["n_points"] == docs[0]["n_points"] == len(outs[0][0].splitlines()) - 4
     assert mult.read_bytes() == outs[0][1]
+
+
+# every subcommand once, small; "{tmp}" is the test's directory
+EVERY_COMMAND = [
+    ["cf", "--b", "21", "--d", "55"],
+    ["enumerate", "--alphabet", "1,2", "--N", "100"],
+    ["exceptions", "--alphabet", "1,2,3,4", "--N", "200"],
+    ["dimension", "--alphabet", "1,2", "--nodes", "32"],
+    ["ensemble", "--alphabet", "1,2", "--N", "100000", "--sample", "20"],
+    ["modular", "closure", "--alphabet", "1,2", "--q", "6"],
+    ["modular", "sseries", "--n", "6", "--P", "100"],
+    ["modular", "nu", "--q", "5", "--a", "2"],
+    ["modular", "admissible", "--alphabet", "1,2", "--d", "7", "--qmax", "10"],
+    ["qmc", "zn", "--b", "21", "--d", "55", "--out", "{tmp}/zn.csv"],
+    ["qmc", "disc", "--in", "{tmp}/zn.csv"],
+    ["expsum", "profile", "--alphabet", "1,2", "--N", "1000", "--Q", "4", "--K", "2"],
+    ["repro", "fig7", "--N", "100", "--out-dir", "{tmp}/figs"],
+]
+
+
+def test_every_command_prints_seconds(tmp_path, capsys):
+    argvs = [[a.format(tmp=tmp_path) for a in argv] for argv in EVERY_COMMAND]
+    handlers = {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
+    assert {cli.build_parser().parse_args(argv).func for argv in argvs} == handlers
+    for argv in argvs:
+        code, doc = run_json(capsys, argv)
+        assert code == 0, argv
+        assert isinstance(doc["seconds"], float), argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv in EVERY_COMMAND
+                                  if argv[0] in ("cf", "dimension", "ensemble", "modular")],
+                         ids=lambda argv: " ".join(a for a in argv[:2] if a[0] != "-"))
+def test_json_out_file_is_the_result_without_timing(tmp_path, capsys, argv):
+    out = tmp_path / "result.json"
+    code, shown = run_json(capsys, argv + ["--out", str(out), "--seed", "4"])
+    assert code == 0
+    stored = json.loads(out.read_text())
+    assert stored["meta"] == {"tool": f"continuantlab {continuantlab.__version__}", "seed": 4}
+    assert shown.pop("seconds") >= 0
+    assert stored["result"] == shown
+
+
+@pytest.mark.parametrize("argv, config, files", [
+    (["enumerate", "--alphabet", "1,2", "--N", "100", "--seed", "7",
+      "--out", "{tmp}/orbit.csv", "--mult-out", "{tmp}/mult.csv"],
+     '{"N": 100, "alphabet": "1,2", "command": "enumerate", "representative": "canonical", '
+     '"seed": 7, "spellings": "any"}',
+     {"orbit.csv": "b,d,word", "mult.csv": "d,count"}),
+    (["exceptions", "--alphabet", "1,2,3,4", "--N", "200", "--out", "{tmp}/exc.csv"],
+     '{"N": 200, "alphabet": "1,2,3,4", "command": "exceptions", "seed": 0, '
+     '"spellings": "canonical"}',
+     {"exc.csv": "d"}),
+    (["qmc", "zn", "--b", "21", "--d", "55", "--drop-origin", "--out", "{tmp}/zn.csv"],
+     '{"b": 21, "command": "qmc", "d": 55, "drop_origin": true, "qmc_cmd": "zn", "seed": 0}',
+     {"zn.csv": "x,y"}),
+    (["expsum", "profile", "--alphabet", "1,2", "--N", "1000", "--Q", "4", "--K", "2",
+      "--out", "{tmp}/arcs.csv"],
+     '{"K": 2, "N": 1000, "Q": 4, "alphabet": "1,2", "command": "expsum", '
+     '"expsum_cmd": "profile", "seed": 0}',
+     {"arcs.csv": "Q,K,n_windows,measure,integral,ratio_to_flat"}),
+    (["repro", "fig7", "--N", "300", "--out-dir", "{tmp}"],
+     '{"N": 300, "command": "repro", "figure": "fig7", "seed": 0}',
+     {"fig7_mult.csv": "d,count", "fig7_normalized.csv": "d,count,normalized"}),
+], ids=["enumerate", "exceptions", "qmc zn", "expsum profile", "repro fig7"])
+def test_file_headers_are_pinned(tmp_path, capsys, argv, config, files):
+    # the config line lists the parsed arguments: a new one changes every file
+    code = run([a.format(tmp=tmp_path) for a in argv])
+    capsys.readouterr()
+    assert code == 0
+    seed = argv[argv.index("--seed") + 1] if "--seed" in argv else "0"
+    for name, columns in files.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[:3] == [f"# continuantlab {continuantlab.__version__}",
+                             f"# config: {config}", f"# seed: {seed}"]
+        assert next(line for line in lines if not line.startswith("#")) == columns

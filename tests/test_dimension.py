@@ -257,6 +257,7 @@ def test_dimension_solves_where_product_weights_underflow(letters, nodes):
        nodes=st.sampled_from((32, 64)))
 @example(letters=(1, 2), nodes=64)
 @example(letters=(59, 60), nodes=32)
+@example(letters=(6, 7, 22, 42, 47, 60), nodes=32)  # the last secant step is not the best
 def test_dimension_matches_bisection_secant_oracle(letters, nodes):
     tol = 1e-12
     res = dimension(letters, tol=tol, nodes=nodes)

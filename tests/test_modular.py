@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dfs_witness, matrix_closure
+from conftest import dfs_witness, matrix_closure, oracle_sl2_dentry_counts, sl2_order
 from continuantlab.errors import InputError, ResourceError
 from continuantlab.modular import (CLOSURE_Q_CAP, Admissibility, closure_mod_q,
                                    is_admissible, is_prime, is_primitive_root,
                                    nu_q, primitive_root_witness,
-                                   singular_series, sl2_dentry_counts, sl2_order)
+                                   singular_series, sl2_dentry_counts)
 from continuantlab.orbits import multiplicity_table
 
 
@@ -149,6 +149,14 @@ def test_nu2_against_direct_enumeration():
 def test_sl2_counts_vs_order_formula():
     for q in list(range(1, 21)) + [24, 36]:
         assert sum(sl2_dentry_counts(q)) == sl2_order(q)
+
+
+def test_sl2_counts_closed_form_matches_loop():
+    # q^2 phi(g) / g with g = gcd(r, q), against the O(q^2) product-count loop
+    for q in range(1, 201):
+        counts = sl2_dentry_counts(q)
+        assert counts == oracle_sl2_dentry_counts(q)
+        assert sum(counts) == sl2_order(q)
 
 
 def test_nu_parseval():
